@@ -85,7 +85,6 @@ class ExperimentConfig:
     )
     out_dir: Path = Path("shapeopt-out")
     snapshot_every: int = 0         # 0 disables snapshots
-    seed: int | None = None         # consumed by randomized test harnesses only
 
     def validate(self) -> None:
         if self.problem not in PROBLEMS:
@@ -222,7 +221,6 @@ def build_config(
     config_file: str | Path | None = None,
     out_dir: str | Path | None = None,
     snapshot_every: int | None = None,
-    seed: int | None = None,
 ) -> ExperimentConfig:
     """Merge defaults, preset, config file, and flags into a validated config."""
     if preset is None and config_file is None:
@@ -240,8 +238,6 @@ def build_config(
         plain["out_dir"] = Path(out_dir)
     if snapshot_every is not None:
         plain["snapshot_every"] = snapshot_every
-    if seed is not None:
-        plain["seed"] = seed
     try:
         config = ExperimentConfig(
             line_search=LineSearchConfig(**nested["line_search"]),
@@ -462,8 +458,6 @@ def _add_common(parser: argparse.ArgumentParser, multi: bool) -> None:
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--snapshot-every", type=int, metavar="K",
                         help="write mesh_XXXX.vtk every K iterations")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="seed recorded for randomized test harnesses")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -495,15 +489,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             config = build_config(args.preset, args.config, args.out,
-                                  args.snapshot_every, args.seed)
+                                  args.snapshot_every)
             return run(config)
         presets = args.preset or []
         files = args.config or []
         configs = [
-            build_config(preset, None, None, args.snapshot_every, args.seed)
+            build_config(preset, None, None, args.snapshot_every)
             for preset in presets
         ] + [
-            build_config(None, path, None, args.snapshot_every, args.seed)
+            build_config(None, path, None, args.snapshot_every)
             for path in files
         ]
         if args.out is None:

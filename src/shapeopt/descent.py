@@ -22,6 +22,7 @@ from .mesh import (
     SimplicialMesh,
     apply_deformation,
     deformation_gradients,
+    drop_derived,
     min_radius_ratio,
     quality_check,
 )
@@ -57,12 +58,28 @@ class LineSearchConfig:
     frob_max: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError(f"sigma must lie in (0, 0.5), got {self.sigma}")
-        if self.alpha0 <= 0.0 or self.eps_tol <= 0.0:
-            raise ValueError("alpha0 and eps_tol must be positive")
+        validate_step_config(self)
+
+
+def validate_step_config(config: LineSearchConfig) -> None:
+    """Check the settings shared by the descent and Newton loops.
+
+    Every test is written so that NaN fails it.
+    """
+    if not 0.0 < config.beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {config.beta}")
+    if not 0.0 < config.sigma < 0.5:
+        raise ValueError(f"sigma must lie in (0, 0.5), got {config.sigma}")
+    if not (0.0 < config.alpha0 < np.inf and 0.0 < config.eps_tol < np.inf):
+        raise ValueError("alpha0 and eps_tol must be finite and positive")
+    if not 0.0 < config.det_lo < config.det_hi:
+        raise ValueError(
+            f"need 0 < det_lo < det_hi, got det_lo={config.det_lo}, det_hi={config.det_hi}"
+        )
+    if not config.frob_max > 0.0:
+        raise ValueError(f"frob_max must be positive, got {config.frob_max}")
+    if not (config.max_iterations >= 0 and config.max_backtracks >= 0):
+        raise ValueError("max_iterations and max_backtracks must be >= 0")
 
 
 def armijo_accepts(
@@ -149,26 +166,29 @@ def load_history(path: str | Path) -> dict[str, np.ndarray]:
 
 
 DirectionFn = Callable[
-    [SimplicialMesh, shape.ElasticityParams, fem.DualVector, shape.ShapeOperators],
+    [SimplicialMesh, shape.ElasticityParams, fem.DualVector],
     tuple[np.ndarray, float, float],
 ]
 
 
-def _restricted_direction(mesh, params, derivative, operators):
-    res = shape.restricted_gradient(mesh, params, derivative, operators)
+def _restricted_direction(mesh, params, derivative):
+    res = shape.restricted_gradient(mesh, params, derivative)
     return res.direction, res.energy, derivative.pair(res.direction)
 
 
-def _classical_direction(mesh, params, derivative, operators):
-    v = shape.classical_gradient(mesh, params, derivative, operators).values
-    energy = float(v.ravel() @ (operators.elasticity @ v.ravel()))
-    return v, energy, derivative.pair(v)
+def _classical_direction(mesh, params, derivative):
+    v = shape.classical_gradient(mesh, params, derivative).values
+    return v, _energy(mesh, params, v), derivative.pair(v)
 
 
-def _ssw_direction(mesh, params, derivative, operators):
-    v = shape.ssw_direction(mesh, params, derivative, operators).values
-    energy = float(v.ravel() @ (operators.elasticity @ v.ravel()))
-    return v, energy, derivative.pair(v)
+def _ssw_direction(mesh, params, derivative):
+    v = shape.ssw_direction(mesh, params, derivative).values
+    return v, _energy(mesh, params, v), derivative.pair(v)
+
+
+def _energy(mesh, params, v):
+    elasticity = shape.shape_operators(mesh, params).elasticity
+    return float(v.ravel() @ (elasticity @ v.ravel()))
 
 
 def _descend(
@@ -187,19 +207,17 @@ def _descend(
     tol_energy = config.eps_tol**2
     for iteration in range(config.max_iterations + 1):
         start = perf_counter()
-        workspace = fem.poisson_workspace(mesh)
-        u = fem.solve_state(mesh, data, workspace)
-        p = fem.solve_adjoint(mesh, workspace)
+        u = fem.solve_state(mesh, data)
+        p = fem.solve_adjoint(mesh)
         j_current = fem.objective(mesh, u)
-        derivative = shape.shape_derivative(mesh, data, u, p, workspace.geometry)
-        operators = shape.shape_operators(mesh, params)
-        direction, energy, directional = direction_fn(mesh, params, derivative, operators)
+        derivative = shape.shape_derivative(mesh, data, u, p)
+        direction, energy, directional = direction_fn(mesh, params, derivative)
         ratio = min_radius_ratio(mesh)
         if callback is not None:
             callback(
                 iteration=iteration, mesh=mesh, objective=j_current,
                 energy=energy, directional=directional, derivative=derivative,
-                direction=direction, operators=operators,
+                direction=direction, operators=shape.shape_operators(mesh, params),
             )
         if energy <= tol_energy:
             records.append(IterateRecord(
@@ -254,6 +272,7 @@ def _descend(
             iteration, j_current, energy, directional, alpha, backtracks,
             ratio, seconds,
         ))
+        drop_derived(mesh)
         mesh = accepted
     record = RunRecord(method, status, records)
     logger.info("%s: %s after %d iterations (J = %.8e, energy = %.3e)",

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .linalg import Factorization, factorize, from_triplets
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, cell_geometry, per_mesh, read_only
 from .problems import ProblemData
 
 
@@ -48,35 +48,12 @@ class DualVector:
         return float(np.sum(self.coeffs * values))
 
 
-@dataclasses.dataclass(frozen=True)
-class CellGeometry:
-    """Volumes and hat-function gradients of every cell.
-
-    ``grads[c, i]`` is the gradient of the hat function of local vertex i on
-    cell c; gradients sum to zero over each cell.
-    """
-
-    volumes: np.ndarray  # (nc,)
-    grads: np.ndarray    # (nc, d+1, d)
-
-
-def cell_geometry(mesh: SimplicialMesh) -> CellGeometry:
-    coords = mesh.vertices[mesh.cells]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    dim = mesh.dim
-    volumes = np.linalg.det(edges) / np.prod(np.arange(1, dim + 1))
-    inv = np.linalg.inv(edges)
-    grads = np.empty((mesh.num_cells, dim + 1, dim))
-    grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return CellGeometry(volumes, grads)
-
-
+@per_mesh
 def interior_vertices(mesh: SimplicialMesh) -> np.ndarray:
     """Sorted indices of vertices not on the boundary."""
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[mesh.boundary_vertices] = False
-    return np.flatnonzero(mask)
+    return read_only(np.flatnonzero(mask))
 
 
 def _scatter_cell_matrix(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
@@ -88,27 +65,25 @@ def _scatter_cell_matrix(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matr
     return from_triplets(mesh.num_vertices, mesh.num_vertices, rows, cols, local.ravel())
 
 
-def assemble_stiffness(mesh: SimplicialMesh, geometry: CellGeometry | None = None) -> sp.csr_matrix:
+def assemble_stiffness(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Full (nv, nv) stiffness matrix of the Laplacian; no boundary conditions."""
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     local = np.einsum("c,cia,cja->cij", geo.volumes, geo.grads, geo.grads)
     return _scatter_cell_matrix(mesh, local)
 
 
-def assemble_mass(mesh: SimplicialMesh, geometry: CellGeometry | None = None) -> sp.csr_matrix:
+def assemble_mass(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Full (nv, nv) mass matrix: vol * (1 + delta_ij) / ((d+1)(d+2)) per cell."""
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     npc = mesh.dim + 1
     ref = (np.ones((npc, npc)) + np.eye(npc)) / ((npc) * (npc + 1))
     local = geo.volumes[:, None, None] * ref[None, :, :]
     return _scatter_cell_matrix(mesh, local)
 
 
-def assemble_load(
-    mesh: SimplicialMesh, data: ProblemData, geometry: CellGeometry | None = None
-) -> np.ndarray:
+def assemble_load(mesh: SimplicialMesh, data: ProblemData) -> np.ndarray:
     """Load vector b_i = integral(f * hat_i) over the mesh, shape (nv,)."""
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     bary, weights = quadrature.simplex_rule(mesh.dim)
     points = quadrature.physical_points(bary, mesh.vertices[mesh.cells])
     fvals = data.f(points)  # (nc, nq)
@@ -119,9 +94,9 @@ def assemble_load(
     return out
 
 
-def assemble_unit_load(mesh: SimplicialMesh, geometry: CellGeometry | None = None) -> np.ndarray:
+def assemble_unit_load(mesh: SimplicialMesh) -> np.ndarray:
     """Vector with entries integral(hat_i) = sum of vol/(d+1) over incident cells."""
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     contrib = np.repeat(geo.volumes[:, None] / (mesh.dim + 1), mesh.dim + 1, axis=1)
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells.ravel(), contrib.ravel())
@@ -132,37 +107,33 @@ def assemble_unit_load(mesh: SimplicialMesh, geometry: CellGeometry | None = Non
 class PoissonWorkspace:
     """Shared pieces for solving state and adjoint on one mesh."""
 
-    geometry: CellGeometry
     stiffness: sp.csr_matrix      # full, no boundary conditions
     interior: np.ndarray          # interior vertex indices
     factor: Factorization         # LU of the interior stiffness block
 
 
+@per_mesh
 def poisson_workspace(mesh: SimplicialMesh) -> PoissonWorkspace:
-    geo = cell_geometry(mesh)
-    K = assemble_stiffness(mesh, geo)
+    K = assemble_stiffness(mesh)
+    read_only(K.data)
     idx = interior_vertices(mesh)
     factor = factorize(K[np.ix_(idx, idx)].tocsc())
-    return PoissonWorkspace(geo, K, idx, factor)
+    return PoissonWorkspace(K, idx, factor)
 
 
-def solve_state(
-    mesh: SimplicialMesh, data: ProblemData, workspace: PoissonWorkspace | None = None
-) -> NodalField:
+def solve_state(mesh: SimplicialMesh, data: ProblemData) -> NodalField:
     """Solve -laplace(u) = f with zero Dirichlet values; returns all-vertex values."""
-    ws = workspace or poisson_workspace(mesh)
-    rhs = assemble_load(mesh, data, ws.geometry)
+    ws = poisson_workspace(mesh)
+    rhs = assemble_load(mesh, data)
     u = np.zeros(mesh.num_vertices)
     u[ws.interior] = ws.factor.solve(rhs[ws.interior])
     return NodalField(u)
 
 
-def solve_adjoint(
-    mesh: SimplicialMesh, workspace: PoissonWorkspace | None = None
-) -> NodalField:
+def solve_adjoint(mesh: SimplicialMesh) -> NodalField:
     """Adjoint of J = integral(u): (grad p, grad v) = -(1, v), zero on the boundary."""
-    ws = workspace or poisson_workspace(mesh)
-    rhs = -assemble_unit_load(mesh, ws.geometry)
+    ws = poisson_workspace(mesh)
+    rhs = -assemble_unit_load(mesh)
     p = np.zeros(mesh.num_vertices)
     p[ws.interior] = ws.factor.solve(rhs[ws.interior])
     return NodalField(p)

@@ -1,16 +1,12 @@
 """Sparse linear algebra used by the assembly and solver layers.
 
 Thin wrappers around scipy.sparse: triplet assembly with duplicate summing,
-reusable LU factorizations (SuperLU), named block systems, and MatrixMarket
-export.  Everything is deterministic: fixed orderings, no randomized pivoting.
+reusable LU factorizations (SuperLU), and named block systems.  Everything
+is deterministic: fixed orderings, no randomized pivoting.
 """
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -36,42 +32,6 @@ def from_triplets(
     ).tocsr()
 
 
-@dataclasses.dataclass(frozen=True)
-class SparseOperator:
-    """Immutable CSR operator with the handful of actions the solvers need."""
-
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def transpose_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def symmetry_defect(self) -> float:
-        """max |A - A^T| entry; zero for symmetric operators."""
-        d = (self.matrix - self.matrix.T).tocoo()
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-
-def write_matrix_market(path: str | Path, matrix: sp.spmatrix | SparseOperator) -> None:
-    """Export a sparse matrix in MatrixMarket coordinate format."""
-    if isinstance(matrix, SparseOperator):
-        matrix = matrix.matrix
-    scipy.io.mmwrite(str(path), matrix.tocoo())
-
-
-def read_matrix_market(path: str | Path) -> sp.csr_matrix:
-    return sp.csr_matrix(scipy.io.mmread(str(path)))
-
-
 def _structural_defect(matrix: sp.csr_matrix) -> int | None:
     """Index of a structurally empty row or column, if any."""
     csr = matrix.tocsr()
@@ -91,8 +51,6 @@ class Factorization:
     """Reusable sparse LU factorization of a square matrix."""
 
     def __init__(self, matrix: sp.spmatrix):
-        if isinstance(matrix, SparseOperator):
-            matrix = matrix.matrix
         matrix = matrix.tocsc()
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
@@ -113,13 +71,9 @@ class Factorization:
         return self._lu.solve(rhs)
 
 
-def factorize(matrix: sp.spmatrix | SparseOperator) -> Factorization:
+def factorize(matrix: sp.spmatrix) -> Factorization:
     """LU-factorize once; reuse the factor for repeated solves."""
     return Factorization(matrix)
-
-
-def solve(matrix: sp.spmatrix | SparseOperator, rhs: np.ndarray) -> np.ndarray:
-    return factorize(matrix).solve(rhs)
 
 
 class BlockSystem:
@@ -143,8 +97,6 @@ class BlockSystem:
         if matrix is None:
             self._blocks.pop(key, None)
             return
-        if isinstance(matrix, SparseOperator):
-            matrix = matrix.matrix
         matrix = sp.csr_matrix(matrix)
         expected = (self.sizes[row], self.sizes[col])
         if matrix.shape != expected:

@@ -4,12 +4,14 @@ A mesh is a flat array of vertex coordinates plus positively oriented cell
 connectivity.  Boundary facets are stored explicitly with the orientation
 induced by their owning cell, so outward normals can be computed without
 sign searches.  Meshes are immutable; deformation produces a new mesh.
+Data derived from a mesh (hat gradients, facet owners, factorizations) is
+computed on first use and kept with that mesh; see :func:`per_mesh`.
 """
 from __future__ import annotations
 
 import dataclasses
 import logging
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -60,9 +62,15 @@ class SimplicialMesh:
             raise MeshError("cell index out of range")
         if facets.size and (facets.min() < 0 or facets.max() >= len(verts)):
             raise MeshError("facet index out of range")
+        if not np.all(np.isfinite(verts)):
+            raise MeshError("vertex coordinates must be finite")
         for arr, name in ((verts, "vertices"), (cells, "cells"), (facets, "boundary_facets")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __getstate__(self) -> dict:
+        # the per_mesh memo is rebuilt on demand and holds unpicklable factors
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
 
     @property
     def dim(self) -> int:
@@ -146,6 +154,65 @@ def signed_volumes(mesh: SimplicialMesh) -> np.ndarray:
     return _signed_volumes(mesh.vertices, mesh.cells)
 
 
+def per_mesh(build):
+    """Run ``build(mesh, *args)`` once per mesh and argument tuple.
+
+    The result is kept in the mesh's own memo for as long as the mesh lives.
+    Meshes are immutable, so derived data never goes stale, and a deformed
+    mesh is a new object that starts with an empty memo.  Results are shared
+    between callers, so builders return read-only arrays.
+    """
+
+    @wraps(build)
+    def derived(mesh: SimplicialMesh, *args):
+        memo = mesh.__dict__.setdefault("_derived", {})
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(mesh, *args)
+        return memo[key]
+
+    return derived
+
+
+def drop_derived(mesh: SimplicialMesh) -> None:
+    """Free the data memoized on ``mesh``; it is rebuilt if asked for again.
+
+    The optimization loops call this on each mesh they leave, so its
+    factorizations do not stay alive with a mesh the caller still holds.
+    """
+    mesh.__dict__.pop("_derived", None)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclasses.dataclass(frozen=True)
+class CellGeometry:
+    """Volumes and hat-function gradients of every cell.
+
+    ``grads[c, i]`` is the gradient of the hat function of local vertex i on
+    cell c; gradients sum to zero over each cell.
+    """
+
+    volumes: np.ndarray  # (nc,)
+    grads: np.ndarray    # (nc, d+1, d)
+
+
+@per_mesh
+def cell_geometry(mesh: SimplicialMesh) -> CellGeometry:
+    coords = mesh.vertices[mesh.cells]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    dim = mesh.dim
+    volumes = np.linalg.det(edges) / np.prod(np.arange(1, dim + 1))
+    inv = np.linalg.inv(edges)
+    grads = np.empty((mesh.num_cells, dim + 1, dim))
+    grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return CellGeometry(read_only(volumes), read_only(grads))
+
+
 _FACE_ORDER_2D = [(0, 1), (1, 2), (2, 0)]
 # Faces of a positively oriented tet, each wound so the normal points outward.
 _FACE_ORDER_3D = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
@@ -167,12 +234,15 @@ def _extract_boundary_facets(cells: np.ndarray) -> np.ndarray:
     return faces[on_boundary]
 
 
+@per_mesh
 def facet_owner_cells(mesh: SimplicialMesh) -> np.ndarray:
     """Index of the unique cell owning each boundary facet."""
     faces = _cell_facets(mesh.cells)
     owners = np.tile(np.arange(mesh.num_cells), len(faces) // mesh.num_cells)
     lut = {tuple(sorted(f)): owners[i] for i, f in enumerate(faces)}
-    return np.array([lut[tuple(sorted(f))] for f in mesh.boundary_facets], dtype=np.int64)
+    return read_only(
+        np.array([lut[tuple(sorted(f))] for f in mesh.boundary_facets], dtype=np.int64)
+    )
 
 
 def boundary_normals(mesh: SimplicialMesh) -> np.ndarray:
@@ -198,16 +268,6 @@ def boundary_measures(mesh: SimplicialMesh) -> np.ndarray:
         return np.linalg.norm(coords[:, 1, :] - coords[:, 0, :], axis=1)
     cross = np.cross(coords[:, 1, :] - coords[:, 0, :], coords[:, 2, :] - coords[:, 0, :])
     return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def facet_normal(mesh: SimplicialMesh, facet: int) -> np.ndarray:
-    """Unit outward normal of boundary facet ``facet``."""
-    return boundary_normals(mesh)[facet]
-
-
-def facet_measure(mesh: SimplicialMesh, facet: int) -> float:
-    """Measure (length/area) of boundary facet ``facet``."""
-    return float(boundary_measures(mesh)[facet])
 
 
 def cell_radius_ratios(mesh: SimplicialMesh) -> np.ndarray:
@@ -262,14 +322,7 @@ def min_radius_ratio(mesh: SimplicialMesh) -> float:
 def deformation_gradients(mesh: SimplicialMesh, field: np.ndarray) -> np.ndarray:
     """Per-cell Jacobian DV of a piecewise-linear vector field, (nc, dim, dim)."""
     field = np.asarray(field, dtype=np.float64)
-    coords = mesh.vertices[mesh.cells]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    # gradients of barycentric hats: rows of inv(edges) give grad of lambda_1..d
-    inv = np.linalg.inv(edges)
-    grads = np.empty((mesh.num_cells, mesh.dim + 1, mesh.dim))
-    grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return np.einsum("cia,cib->cab", field[mesh.cells], grads)
+    return np.einsum("cia,cib->cab", field[mesh.cells], cell_geometry(mesh).grads)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,7 +332,6 @@ class CellQualityReport:
     alpha: float
     determinants: np.ndarray      # det(I + alpha DV) per cell
     frobenius_norms: np.ndarray   # ||alpha DV||_F per cell
-    min_radius_ratio: float       # of the deformed mesh; 0 if degenerate
     passed: bool
 
 
@@ -302,14 +354,7 @@ def quality_check(
     passed = bool(
         dets.min() >= det_lo and dets.max() <= det_hi and frob.max() <= frob_max
     )
-    if dets.min() > 0.0:
-        deformed = SimplicialMesh(
-            mesh.vertices + alpha * np.asarray(field), mesh.cells, mesh.boundary_facets
-        )
-        ratio = min_radius_ratio(deformed)
-    else:
-        ratio = 0.0
-    return CellQualityReport(float(alpha), dets, frob, ratio, passed)
+    return CellQualityReport(float(alpha), dets, frob, passed)
 
 
 def apply_deformation(

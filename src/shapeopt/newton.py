@@ -36,12 +36,14 @@ from .descent import (
     IterateRecord,
     RunRecord,
     armijo_accepts,
+    validate_step_config,
 )
 from .linalg import BlockSystem, from_triplets
 from .mesh import (
     SimplicialMesh,
     apply_deformation,
     boundary_normals,
+    drop_derived,
     facet_owner_cells,
     min_radius_ratio,
     quality_check,
@@ -66,12 +68,7 @@ class NewtonConfig:
     frob_max: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0.0 < self.sigma < 0.5:
-            raise ValueError(f"sigma must lie in (0, 0.5), got {self.sigma}")
-        if self.alpha0 <= 0.0 or self.eps_tol <= 0.0:
-            raise ValueError("alpha0 and eps_tol must be positive")
+        validate_step_config(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +97,6 @@ class LagrangianForms:
         self.interior = fem.interior_vertices(mesh)
         self.bary, self.weights = quadrature.simplex_rule(mesh.dim)
         self.points = quadrature.physical_points(self.bary, mesh.vertices[mesh.cells])
-        self._stiffness = fem.assemble_stiffness(mesh, self.geometry)
 
     # -- helpers -------------------------------------------------------------
 
@@ -218,7 +214,7 @@ class LagrangianForms:
 
     def stiffness_interior(self) -> sp.csr_matrix:
         idx = self.interior
-        return self._stiffness[np.ix_(idx, idx)].tocsr()
+        return fem.poisson_workspace(self.mesh).stiffness[np.ix_(idx, idx)].tocsr()
 
     def d2_uw(self, u: np.ndarray, p: np.ndarray) -> sp.csr_matrix:
         """Mixed block d2L/(du dW) at W=0, shape (n_interior, nv*dim).
@@ -315,11 +311,6 @@ class LagrangianForms:
         local -= ein("cq,cq,cja,ckm->cjakm", wp, fq, G, G, optimize=True)
         local += ein("cq,cq,cjm,cka->cjakm", wp, fq, G, G, optimize=True)
         return shape._scatter_vector_matrix(mesh, local)
-
-
-def lagrangian_forms(mesh: SimplicialMesh, data: ProblemData) -> LagrangianForms:
-    """Assembler for the pulled-back Lagrangian and its derivatives."""
-    return LagrangianForms(mesh, data)
 
 
 # ----------------------------------------------------------------------------
@@ -513,13 +504,10 @@ class NewtonSystem:
         data: ProblemData,
         params: shape.ElasticityParams,
         iterate: NewtonIterate,
-        operators: shape.ShapeOperators | None = None,
-        forms: LagrangianForms | None = None,
     ):
         self.mesh = mesh
-        self.forms = forms or LagrangianForms(mesh, data)
-        ops = operators or shape.shape_operators(mesh, params)
-        self.operators = ops
+        self.forms = LagrangianForms(mesh, data)
+        ops = shape.shape_operators(mesh, params)
         d = mesh.dim
         nd = mesh.num_vertices * d
         nb = len(mesh.boundary_vertices)
@@ -583,23 +571,19 @@ def prepare_iterate(
     mesh: SimplicialMesh,
     data: ProblemData,
     params: shape.ElasticityParams,
-    operators: shape.ShapeOperators | None = None,
 ) -> tuple[NewtonIterate, dict]:
     """Solve state, adjoint, and projection on the mesh; package the iterate."""
-    ops = operators or shape.shape_operators(mesh, params)
-    workspace = fem.poisson_workspace(mesh)
-    u = fem.solve_state(mesh, data, workspace)
-    p = fem.solve_adjoint(mesh, workspace)
+    u = fem.solve_state(mesh, data)
+    p = fem.solve_adjoint(mesh)
     objective = fem.objective(mesh, u)
-    derivative = shape.shape_derivative(mesh, data, u, p, workspace.geometry)
-    res = shape.restricted_gradient(mesh, params, derivative, ops)
+    derivative = shape.shape_derivative(mesh, data, u, p)
+    res = shape.restricted_gradient(mesh, params, derivative)
     iterate = NewtonIterate(u.values, p.values, res.direction, res.force, res.multiplier)
     info = {
         "objective": objective,
         "derivative": derivative,
         "energy": res.energy,
         "directional": derivative.pair(res.direction),
-        "operators": ops,
     }
     return iterate, info
 
@@ -652,7 +636,8 @@ def restricted_newton(
             callback(
                 iteration=iteration, mesh=mesh, objective=j_current, energy=energy,
                 directional=directional, derivative=derivative,
-                direction=iterate.direction, operators=info["operators"],
+                direction=iterate.direction,
+                operators=shape.shape_operators(mesh, params),
             )
         if energy <= tol_energy:
             records.append(IterateRecord(
@@ -667,9 +652,7 @@ def restricted_newton(
                 perf_counter() - start, damping=alpha,
             ))
             break
-        system = NewtonSystem(
-            mesh, data, params, iterate, operators=info["operators"]
-        )
+        system = NewtonSystem(mesh, data, params, iterate)
         alpha = alpha / config.beta
         backtracks = 0
         accepted = None
@@ -704,6 +687,7 @@ def restricted_newton(
         ))
         logger.debug("newton it %d: J=%.10e energy=%.3e alpha=%.1e backtracks=%d",
                      iteration, j_current, energy, alpha, backtracks)
+        drop_derived(mesh)
         mesh = accepted
     record = RunRecord("newton", status, records)
     logger.info("newton: %s after %d iterations (energy %.3e, final damping %.1e)",

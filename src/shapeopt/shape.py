@@ -15,9 +15,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .fem import DualVector, NodalField, CellGeometry, cell_geometry
+from .fem import DualVector, NodalField
 from .linalg import Factorization, BlockSystem, factorize, from_triplets
-from .mesh import SimplicialMesh, boundary_measures, boundary_normals
+from .mesh import (
+    SimplicialMesh,
+    boundary_measures,
+    boundary_normals,
+    cell_geometry,
+    per_mesh,
+    read_only,
+)
 from .problems import ProblemData
 
 
@@ -34,14 +41,17 @@ class ElasticityParams:
     damping: float | None = None
 
     def __post_init__(self) -> None:
-        if self.young <= 0.0:
-            raise ValueError(f"young must be positive, got {self.young}")
+        if not 0.0 < self.young < np.inf:
+            raise ValueError(f"young must be finite and positive, got {self.young}")
         if not 0.0 <= self.poisson < 0.5:
             raise ValueError(f"poisson must lie in [0, 0.5), got {self.poisson}")
         if self.damping is None:
             object.__setattr__(self, "damping", 0.2 * self.young)
-        if self.damping <= 0.0:
-            raise ValueError("damping must be positive (the operator needs no kernel)")
+        if not 0.0 < self.damping < np.inf:
+            raise ValueError(
+                "damping must be finite and positive (the operator needs no kernel), "
+                f"got {self.damping}"
+            )
 
     @property
     def mu(self) -> float:
@@ -57,7 +67,6 @@ def shape_derivative(
     data: ProblemData,
     u: NodalField,
     p: NodalField,
-    geometry: CellGeometry | None = None,
 ) -> DualVector:
     """Volume-form shape derivative of J = integral(u) at the current mesh.
 
@@ -70,7 +79,7 @@ def shape_derivative(
     evaluated coefficient-wise against every nodal vector field.  Exact for
     the polynomial benchmark loads thanks to the degree-5 quadrature.
     """
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     uv, pv = u.values, p.values
     G = geo.grads
     vols = geo.volumes
@@ -95,18 +104,14 @@ def shape_derivative(
     return DualVector(out)
 
 
-def assemble_elasticity(
-    mesh: SimplicialMesh,
-    params: ElasticityParams,
-    geometry: CellGeometry | None = None,
-) -> sp.csr_matrix:
+def assemble_elasticity(mesh: SimplicialMesh, params: ElasticityParams) -> sp.csr_matrix:
     """Elasticity inner-product matrix on nodal vector fields, (nv*d, nv*d).
 
     <E V, W> = int 2 mu eps(V):eps(W) + lam div(V) div(W) + damping V.W
     with eps the symmetric gradient; no boundary conditions.  Symmetric
     positive definite for positive damping.
     """
-    geo = geometry or cell_geometry(mesh)
+    geo = cell_geometry(mesh)
     d = mesh.dim
     G = geo.grads
     vols = geo.volumes
@@ -177,19 +182,22 @@ class ShapeOperators:
     boundary: np.ndarray  # boundary vertex indices = column order of normal_force
 
 
+@per_mesh
 def shape_operators(mesh: SimplicialMesh, params: ElasticityParams) -> ShapeOperators:
     E = assemble_elasticity(mesh, params)
-    return ShapeOperators(E, factorize(E), assemble_normal_force(mesh), mesh.boundary_vertices)
+    N = assemble_normal_force(mesh)
+    read_only(E.data)
+    read_only(N.data)
+    return ShapeOperators(E, factorize(E), N, mesh.boundary_vertices)
 
 
 def classical_gradient(
     mesh: SimplicialMesh,
     params: ElasticityParams,
     derivative: DualVector,
-    operators: ShapeOperators | None = None,
 ) -> NodalField:
     """Unrestricted gradient field: solve <E V, .> = -dJ over all vector fields."""
-    ops = operators or shape_operators(mesh, params)
+    ops = shape_operators(mesh, params)
     v = ops.elasticity_factor.solve(-derivative.coeffs.ravel())
     return NodalField(v.reshape(mesh.num_vertices, mesh.dim))
 
@@ -215,7 +223,6 @@ def restricted_gradient(
     mesh: SimplicialMesh,
     params: ElasticityParams,
     derivative: DualVector,
-    operators: ShapeOperators | None = None,
 ) -> RestrictedGradientResult:
     """Steepest-descent direction among deformations driven by normal forces.
 
@@ -228,7 +235,7 @@ def restricted_gradient(
     direction is the E-orthogonal projection of the classical gradient onto
     the range of E^{-1} N.
     """
-    ops = operators or shape_operators(mesh, params)
+    ops = shape_operators(mesh, params)
     nb = ops.normal_force.shape[1]
     nd = ops.elasticity.shape[0]
     system = BlockSystem({"force": nb, "field": nd})
@@ -254,7 +261,6 @@ def ssw_direction(
     mesh: SimplicialMesh,
     params: ElasticityParams,
     derivative: DualVector,
-    operators: ShapeOperators | None = None,
 ) -> NodalField:
     """Interior-masked baseline direction: solve E V = -(dJ masked to interior).
 
@@ -263,41 +269,20 @@ def ssw_direction(
     suppressing boundary oscillations; it is *not* a gradient and can fail
     to be a descent direction.
     """
-    ops = operators or shape_operators(mesh, params)
+    ops = shape_operators(mesh, params)
     masked = derivative.coeffs.copy()
     masked[mesh.boundary_vertices] = 0.0
     v = ops.elasticity_factor.solve(-masked.ravel())
     return NodalField(v.reshape(mesh.num_vertices, mesh.dim))
 
 
-def stationarity_residual(
-    mesh: SimplicialMesh,
-    classical: NodalField | np.ndarray,
-    operators: ShapeOperators | None = None,
-    params: ElasticityParams | None = None,
-) -> float:
+def stationarity_residual(mesh: SimplicialMesh, classical: NodalField | np.ndarray) -> float:
     """Norm of N^T applied to the classical gradient.
 
     Vanishes exactly when the classical gradient is tangential to the
     boundary in the weak sense, i.e. when the mesh is stationary for the
     restricted dynamics.
     """
-    if operators is None:
-        operators = shape_operators(mesh, params or ElasticityParams())
     values = classical.values if isinstance(classical, NodalField) else classical
-    return float(np.linalg.norm(operators.normal_force.T @ values.ravel()))
+    return float(np.linalg.norm(assemble_normal_force(mesh).T @ values.ravel()))
 
-
-def l2_representer(mesh: SimplicialMesh, derivative: DualVector) -> NodalField:
-    """L2 Riesz representer of the shape derivative (diagnostic only).
-
-    Solves the vector mass-matrix system M R = dJ componentwise; useful for
-    visualizing the raw derivative without the elasticity smoothing.
-    """
-    from .fem import assemble_mass
-
-    mass = factorize(assemble_mass(mesh).tocsc())
-    out = np.column_stack(
-        [mass.solve(derivative.coeffs[:, c]) for c in range(mesh.dim)]
-    )
-    return NodalField(out)

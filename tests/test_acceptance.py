@@ -12,7 +12,7 @@ import pytest
 from shapeopt import cli, descent, fem, newton, problems, shape
 from shapeopt.descent import CONVERGED, LineSearchConfig
 from shapeopt.mesh import apply_deformation, generate_cube_mesh, generate_disk_mesh
-from shapeopt.newton import NewtonConfig, lagrangian_forms
+from shapeopt.newton import LagrangianForms, NewtonConfig
 from conftest import make_hexagon, random_deformation
 
 PARAMS = shape.ElasticityParams()
@@ -31,8 +31,8 @@ def identity_collector(log):
 def restricted_identity_collector(log):
     """Same check for runs whose own direction is not the restricted one."""
 
-    def cb(iteration, mesh, derivative, operators, **_):
-        res = shape.restricted_gradient(mesh, PARAMS, derivative, operators)
+    def cb(iteration, mesh, derivative, **_):
+        res = shape.restricted_gradient(mesh, PARAMS, derivative)
         log.append((res.energy, derivative.pair(res.direction)))
 
     return cb
@@ -113,10 +113,9 @@ def test_01_shape_derivative_consistency(data2d):
     orders = []
     for level in (0, 1):
         mesh = generate_disk_mesh(1.0, level)
-        ws = fem.poisson_workspace(mesh)
-        u = fem.solve_state(mesh, data2d, ws)
-        p = fem.solve_adjoint(mesh, ws)
-        derivative = shape.shape_derivative(mesh, data2d, u, p, ws.geometry)
+        u = fem.solve_state(mesh, data2d)
+        p = fem.solve_adjoint(mesh)
+        derivative = shape.shape_derivative(mesh, data2d, u, p)
         errors = np.zeros((20, len(steps)))
         for k in range(20):
             field = random_deformation(mesh, rng, scale=1.0)
@@ -167,12 +166,11 @@ def test_03_projection_matches_dense_kkt_oracle(disk0, disk1, cube4,
     """Restricted gradient equals a dense saddle-point solve on a 7-vertex
     mesh; idempotence and multiplier orthogonality hold on the benchmarks."""
     hexagon = make_hexagon()
-    ws = fem.poisson_workspace(hexagon)
-    u = fem.solve_state(hexagon, data2d, ws)
-    p = fem.solve_adjoint(hexagon, ws)
-    derivative = shape.shape_derivative(hexagon, data2d, u, p, ws.geometry)
+    u = fem.solve_state(hexagon, data2d)
+    p = fem.solve_adjoint(hexagon)
+    derivative = shape.shape_derivative(hexagon, data2d, u, p)
     ops = shape.shape_operators(hexagon, PARAMS)
-    res = shape.restricted_gradient(hexagon, PARAMS, derivative, ops)
+    res = shape.restricted_gradient(hexagon, PARAMS, derivative)
 
     elasticity = ops.elasticity.toarray()
     normal = ops.normal_force.toarray()
@@ -196,17 +194,16 @@ def test_03_projection_matches_dense_kkt_oracle(disk0, disk1, cube4,
 
     for name, mesh, data in (("disk0", disk0, data2d), ("disk1", disk1, data2d),
                              ("cube4", cube4, data3d)):
-        ws = fem.poisson_workspace(mesh)
-        u = fem.solve_state(mesh, data, ws)
-        p = fem.solve_adjoint(mesh, ws)
-        derivative = shape.shape_derivative(mesh, data, u, p, ws.geometry)
+        u = fem.solve_state(mesh, data)
+        p = fem.solve_adjoint(mesh)
+        derivative = shape.shape_derivative(mesh, data, u, p)
         ops = shape.shape_operators(mesh, PARAMS)
-        res = shape.restricted_gradient(mesh, PARAMS, derivative, ops)
+        res = shape.restricted_gradient(mesh, PARAMS, derivative)
         orthogonality = np.linalg.norm(ops.normal_force.T @ res.multiplier.ravel())
         # projecting the restricted direction's own dual must reproduce it
         dual = fem.DualVector(-(ops.elasticity @ res.direction.ravel())
                               .reshape(res.direction.shape))
-        again = shape.restricted_gradient(mesh, PARAMS, dual, ops)
+        again = shape.restricted_gradient(mesh, PARAMS, dual)
         drift = np.abs(again.direction - res.direction).max()
         scale = max(1.0, np.abs(res.direction).max())
         print(f"{name}: ||N^T Pi||={orthogonality:.3e} "
@@ -282,10 +279,9 @@ def test_07_second_derivative_blocks(cube2, data2d, data3d):
     print()
     for name, mesh, data in (("hexagon", make_hexagon(), data2d),
                              ("cube2", cube2, data3d)):
-        ws = fem.poisson_workspace(mesh)
-        u = fem.solve_state(mesh, data, ws).values
-        p = fem.solve_adjoint(mesh, ws).values
-        forms = lagrangian_forms(mesh, data)
+        u = fem.solve_state(mesh, data).values
+        p = fem.solve_adjoint(mesh).values
+        forms = LagrangianForms(mesh, data)
         x = random_deformation(mesh, rng)
         worst = 0.0
 
@@ -364,7 +360,7 @@ def test_09_small_damping_limit(disk0, data2d):
     """For small damping the Newton step is the scaled restricted gradient:
     ||W - alpha V||_E / (alpha ||V||_E) <= 0.1 for alpha <= 1e-4."""
     iterate, info = newton.prepare_iterate(disk0, data2d, PARAMS)
-    elasticity = info["operators"].elasticity
+    elasticity = shape.shape_operators(disk0, PARAMS).elasticity
     v = iterate.direction.ravel()
     v_norm = np.sqrt(v @ (elasticity @ v))
     print()

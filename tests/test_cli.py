@@ -75,6 +75,24 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, setting", [
+    ("line_search", "eps_tol = nan"),
+    ("line_search", "alpha0 = nan"),
+    ("newton", "det_lo = 3.0"),
+    ("newton", "max_iterations = -1"),
+    ("elasticity", "young = nan"),
+    ("elasticity", "damping = inf"),
+])
+def test_non_finite_or_unordered_settings_exit_2(tmp_path, section, setting):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{setting}\n")
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--preset",
+                     "paper2d-restricted-gradient", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_short_run_writes_artifacts(tmp_path):
     path = tmp_path / "short.ini"
     path.write_text("[line_search]\nmax_iterations = 4\n")

@@ -4,14 +4,17 @@ Element matrices are cross-checked with sympy integration on an arbitrary
 triangle; solver accuracy with the exact solution on the disk, where
 -laplace(u) = 1 gives u = (1 - |x|^2) / 4.
 """
+import pickle
+
 import numpy as np
 import pytest
 import sympy
 from numpy.testing import assert_allclose
 
 from shapeopt import fem
-from shapeopt.mesh import SimplicialMesh, generate_disk_mesh
+from shapeopt.mesh import SimplicialMesh, apply_deformation, generate_disk_mesh
 from shapeopt.problems import ProblemData, benchmark_load_2d
+from conftest import random_deformation
 
 
 def constant_load(dim: int, value: float = 1.0) -> ProblemData:
@@ -141,13 +144,32 @@ def test_adjoint_is_negated_unit_state(disk1):
     assert_allclose(p.values, -u1.values, rtol=1e-12, atol=1e-16)
 
 
-def test_workspace_reuse_is_equivalent(disk0, data2d):
+def test_per_mesh_data_is_computed_once_and_read_only(disk0, data2d, rng):
+    geo = fem.cell_geometry(disk0)
     ws = fem.poisson_workspace(disk0)
-    assert_allclose(
-        fem.solve_state(disk0, data2d, ws).values,
-        fem.solve_state(disk0, data2d).values,
-        rtol=0.0, atol=0.0,
+    assert fem.cell_geometry(disk0) is geo
+    assert fem.poisson_workspace(disk0) is ws
+    for array in (geo.volumes, geo.grads, ws.interior, ws.stiffness.data):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # a deformed mesh derives its own data and never inherits the parent's
+    moved = apply_deformation(disk0, random_deformation(disk0, rng, scale=0.05))
+    moved_ws = fem.poisson_workspace(moved)
+    assert fem.cell_geometry(moved) is not geo
+    assert moved_ws is not ws and moved_ws.factor is not ws.factor
+    fresh = SimplicialMesh(moved.vertices.copy(), moved.cells, moved.boundary_facets)
+    assert np.array_equal(fem.cell_geometry(moved).volumes, fem.cell_geometry(fresh).volumes)
+    assert np.array_equal(
+        fem.solve_state(moved, data2d).values, fem.solve_state(fresh, data2d).values
     )
+
+
+def test_used_mesh_pickles_without_its_derived_data(disk0, data2d):
+    fem.solve_state(disk0, data2d)
+    copy = pickle.loads(pickle.dumps(disk0))
+    assert "_derived" not in vars(copy)
+    assert np.array_equal(copy.vertices, disk0.vertices)
+    assert np.array_equal(fem.cell_geometry(copy).grads, fem.cell_geometry(disk0).grads)
 
 
 def test_objective_of_benchmark_state_is_negative(disk0, data2d):

@@ -8,12 +8,8 @@ from shapeopt.linalg import (
     BlockSystem,
     Factorization,
     SingularOperatorError,
-    SparseOperator,
     factorize,
     from_triplets,
-    read_matrix_market,
-    solve,
-    write_matrix_market,
 )
 
 
@@ -22,32 +18,11 @@ def test_from_triplets_accumulates_duplicates():
     assert_allclose(matrix.toarray(), [[3.0, 0.0], [0.0, 5.0]])
 
 
-def test_sparse_operator_apply_and_symmetry(rng):
-    dense = rng.standard_normal((6, 6))
-    op = SparseOperator(sp.csr_matrix(dense))
-    x = rng.standard_normal(6)
-    assert_allclose(op.apply(x), dense @ x, rtol=1e-13)
-    assert_allclose(op.transpose_apply(x), dense.T @ x, rtol=1e-13)
-    assert op.symmetry_defect() > 0.1
-    sym = SparseOperator(sp.csr_matrix(dense + dense.T))
-    assert sym.symmetry_defect() < 1e-15
-
-
-def test_matrix_market_round_trip(tmp_path, rng):
-    dense = rng.standard_normal((5, 7))
-    dense[np.abs(dense) < 0.7] = 0.0
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(path, sp.csr_matrix(dense))
-    back = read_matrix_market(path)
-    assert_allclose(back.toarray(), dense, rtol=0.0, atol=0.0)
-
-
 def test_factorize_and_solve(rng):
     dense = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
     rhs = rng.standard_normal(8)
     x = factorize(sp.csc_matrix(dense)).solve(rhs)
     assert_allclose(dense @ x, rhs, rtol=1e-11)
-    assert_allclose(solve(sp.csr_matrix(dense), rhs), x, rtol=1e-13)
 
 
 def test_singular_matrix_reports_row():

@@ -42,6 +42,13 @@ def test_constructor_rejects_bad_indices():
         SimplicialMesh.from_cells(vertices, np.array([[0, 1, 3]]))
 
 
+def test_constructor_rejects_non_finite_vertices():
+    # a NaN volume passes both the negative and the zero-volume test
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(MeshError):
+        SimplicialMesh.from_cells(vertices, np.array([[0, 1, 2]]))
+
+
 def test_arrays_are_frozen(hexagon):
     with pytest.raises(ValueError):
         hexagon.vertices[0, 0] = 7.0

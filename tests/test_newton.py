@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from shapeopt import fem, newton, shape
 from shapeopt.descent import CONVERGED
 from shapeopt.newton import (
+    LagrangianForms,
     NewtonConfig,
-    lagrangian_forms,
     newton_step,
     prepare_iterate,
     pulled_back_elasticity_apply,
@@ -23,10 +23,7 @@ def params():
 
 
 def solved(mesh, data):
-    ws = fem.poisson_workspace(mesh)
-    u = fem.solve_state(mesh, data, ws).values
-    p = fem.solve_adjoint(mesh, ws).values
-    return u, p, ws
+    return fem.solve_state(mesh, data).values, fem.solve_adjoint(mesh).values
 
 
 @pytest.mark.parametrize("kwargs", [{"beta": 1.5}, {"sigma": 0.5}, {"alpha0": -1.0}])
@@ -36,8 +33,8 @@ def test_newton_config_validation(kwargs):
 
 
 def test_lagrangian_at_zero_equals_objective(disk0, data2d):
-    u, p, ws = solved(disk0, data2d)
-    forms = lagrangian_forms(disk0, data2d)
+    u, p = solved(disk0, data2d)
+    forms = LagrangianForms(disk0, data2d)
     value = forms.value(np.zeros_like(disk0.vertices), u, p)
     assert value == pytest.approx(fem.objective(disk0, u), rel=1e-14)
 
@@ -46,9 +43,9 @@ def test_lagrangian_value_matches_deformed_mesh(disk0, data2d, rng):
     """Pullback exactness: L(W, u, p) equals the Lagrangian assembled on
     the deformed mesh with the transported nodal values."""
     from shapeopt.mesh import apply_deformation
-    u, p, ws = solved(disk0, data2d)
+    u, p = solved(disk0, data2d)
     w = random_deformation(disk0, rng, scale=0.04)
-    forms = lagrangian_forms(disk0, data2d)
+    forms = LagrangianForms(disk0, data2d)
     value = forms.value(w, u, p)
     moved = apply_deformation(disk0, w, 1.0)
     K = fem.assemble_stiffness(moved)
@@ -61,8 +58,8 @@ def test_lagrangian_value_matches_deformed_mesh(disk0, data2d, rng):
 
 
 def test_first_derivatives_at_solution_vanish(disk0, data2d):
-    u, p, ws = solved(disk0, data2d)
-    forms = lagrangian_forms(disk0, data2d)
+    u, p = solved(disk0, data2d)
+    forms = LagrangianForms(disk0, data2d)
     zero = np.zeros_like(disk0.vertices)
     # u solves the state equation, p the adjoint: both rows vanish
     assert np.linalg.norm(forms.d_p(zero, u, p)) <= 1e-12
@@ -70,18 +67,18 @@ def test_first_derivatives_at_solution_vanish(disk0, data2d):
 
 
 def test_d_w_at_zero_is_the_shape_derivative(disk0, data2d):
-    u, p, ws = solved(disk0, data2d)
+    u, p = solved(disk0, data2d)
     derivative = shape.shape_derivative(
-        disk0, data2d, fem.NodalField(u), fem.NodalField(p), ws.geometry
+        disk0, data2d, fem.NodalField(u), fem.NodalField(p)
     )
-    forms = lagrangian_forms(disk0, data2d)
+    forms = LagrangianForms(disk0, data2d)
     d_w = forms.d_w(np.zeros_like(disk0.vertices), u, p)
     assert_allclose(d_w, derivative.coeffs, rtol=0.0, atol=1e-15)
 
 
 def test_d_w_matches_finite_differences_off_zero(disk0, data2d, rng):
-    u, p, ws = solved(disk0, data2d)
-    forms = lagrangian_forms(disk0, data2d)
+    u, p = solved(disk0, data2d)
+    forms = LagrangianForms(disk0, data2d)
     base = random_deformation(disk0, rng, scale=0.03)
     direction = random_deformation(disk0, rng, scale=1.0)
     h = 1e-6
@@ -92,15 +89,15 @@ def test_d_w_matches_finite_differences_off_zero(disk0, data2d, rng):
 
 
 def test_second_derivative_symmetry(hexagon, data2d):
-    u, p, ws = solved(hexagon, data2d)
-    forms = lagrangian_forms(hexagon, data2d)
+    u, p = solved(hexagon, data2d)
+    forms = LagrangianForms(hexagon, data2d)
     h = forms.d2_ww(u, p).toarray()
     assert_allclose(h, h.T, atol=1e-12 * max(1.0, np.abs(h).max()))
 
 
 def test_d2_ww_matches_finite_differences(hexagon, data2d, rng):
-    u, p, ws = solved(hexagon, data2d)
-    forms = lagrangian_forms(hexagon, data2d)
+    u, p = solved(hexagon, data2d)
+    forms = LagrangianForms(hexagon, data2d)
     h_matrix = forms.d2_ww(u, p)
     da = random_deformation(hexagon, rng)
     db = random_deformation(hexagon, rng)
@@ -141,7 +138,7 @@ def test_newton_residual_vanishes_except_force_row(disk0, data2d, params):
 
 def test_small_damping_step_is_scaled_gradient(disk0, data2d, params):
     iterate, info = prepare_iterate(disk0, data2d, params)
-    ops = info["operators"]
+    ops = shape.shape_operators(disk0, params)
     alpha = 1e-5
     w = newton_step(disk0, data2d, params, iterate, alpha).values
     diff = (w - alpha * iterate.direction).ravel()
