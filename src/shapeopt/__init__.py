@@ -47,7 +47,7 @@ from .mesh import (
     signed_volumes,
 )
 from .meshio import read_gmsh, read_vtk, write_vtk
-from .newton import NewtonConfig, newton_step, restricted_newton
+from .newton import NewtonConfig, restricted_newton
 from .problems import ProblemData, benchmark_load_2d, benchmark_load_3d
 from .shape import (
     ElasticityParams,
@@ -88,7 +88,6 @@ __all__ = [
     "generate_disk_mesh",
     "interior_vertices",
     "min_radius_ratio",
-    "newton_step",
     "objective",
     "quality_check",
     "read_gmsh",

@@ -167,7 +167,6 @@ _LINE_SEARCH_KEYS = {
     "max_iterations": int, "max_backtracks": int,
     "det_lo": float, "det_hi": float, "frob_max": float,
 }
-_NEWTON_KEYS = dict(_LINE_SEARCH_KEYS)
 _ELASTICITY_KEYS = {"young": float, "poisson": float, "damping": float}
 
 
@@ -199,11 +198,7 @@ def read_config_file(path: str | Path) -> dict:
                 except ValueError:
                     raise ConfigError(f"bad value {raw!r} for {section}.{key}") from None
         elif section in ("line_search", "newton", "elasticity"):
-            keymap = {
-                "line_search": _LINE_SEARCH_KEYS,
-                "newton": _NEWTON_KEYS,
-                "elasticity": _ELASTICITY_KEYS,
-            }[section]
+            keymap = _ELASTICITY_KEYS if section == "elasticity" else _LINE_SEARCH_KEYS
             for key, raw in parser.items(section):
                 if key not in keymap:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")

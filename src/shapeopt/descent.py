@@ -1,10 +1,12 @@
-"""Gradient-descent loops with backtracking line search and quality safeguards.
+"""The optimization loop with backtracking line search and quality safeguards.
 
-One engine drives three direction choices: the restricted gradient (normal
-boundary forces), the classical elasticity gradient, and the interior-masked
-baseline.  Steps are accepted when they satisfy both the Armijo condition and
-the cell-wise quality safeguards; the step size carries over between
-iterations (one expansion, then halving).
+:func:`optimize` is the one outer loop of every optimizer.  Here it drives
+three direction choices: the restricted gradient (normal boundary forces),
+the classical elasticity gradient, and the interior-masked baseline; the
+damped Newton method in :mod:`shapeopt.newton` supplies its own iteration
+start and trial steps.  Steps are accepted when they descend and satisfy both
+the Armijo condition and the cell-wise quality safeguards; the step size
+carries over between iterations (one expansion, then halving).
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import dataclasses
 import logging
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ CSV_COLUMNS = ("iter", "J", "grad_energy", "alpha", "backtracks", "min_radius_ra
 
 @dataclasses.dataclass(frozen=True)
 class LineSearchConfig:
-    """Line-search and stopping parameters shared by all descent variants.
+    """Line-search and stopping parameters shared by all optimizers.
 
     The iteration stops when the direction energy <E V, V> drops to
     ``eps_tol**2``.  Step-size safeguards bound the per-cell deformation:
@@ -58,28 +60,21 @@ class LineSearchConfig:
     frob_max: float = 0.3
 
     def __post_init__(self) -> None:
-        validate_step_config(self)
-
-
-def validate_step_config(config: LineSearchConfig) -> None:
-    """Check the settings shared by the descent and Newton loops.
-
-    Every test is written so that NaN fails it.
-    """
-    if not 0.0 < config.beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {config.beta}")
-    if not 0.0 < config.sigma < 0.5:
-        raise ValueError(f"sigma must lie in (0, 0.5), got {config.sigma}")
-    if not (0.0 < config.alpha0 < np.inf and 0.0 < config.eps_tol < np.inf):
-        raise ValueError("alpha0 and eps_tol must be finite and positive")
-    if not 0.0 < config.det_lo < config.det_hi:
-        raise ValueError(
-            f"need 0 < det_lo < det_hi, got det_lo={config.det_lo}, det_hi={config.det_hi}"
-        )
-    if not config.frob_max > 0.0:
-        raise ValueError(f"frob_max must be positive, got {config.frob_max}")
-    if not (config.max_iterations >= 0 and config.max_backtracks >= 0):
-        raise ValueError("max_iterations and max_backtracks must be >= 0")
+        # every test is written so that NaN fails it
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        if not 0.0 < self.sigma < 0.5:
+            raise ValueError(f"sigma must lie in (0, 0.5), got {self.sigma}")
+        if not (0.0 < self.alpha0 < np.inf and 0.0 < self.eps_tol < np.inf):
+            raise ValueError("alpha0 and eps_tol must be finite and positive")
+        if not 0.0 < self.det_lo < self.det_hi:
+            raise ValueError(
+                f"need 0 < det_lo < det_hi, got det_lo={self.det_lo}, det_hi={self.det_hi}"
+            )
+        if not self.frob_max > 0.0:
+            raise ValueError(f"frob_max must be positive, got {self.frob_max}")
+        if not (self.max_iterations >= 0 and self.max_backtracks >= 0):
+            raise ValueError("max_iterations and max_backtracks must be >= 0")
 
 
 def armijo_accepts(
@@ -165,120 +160,129 @@ def load_history(path: str | Path) -> dict[str, np.ndarray]:
     return {name: table[:, i] for i, name in enumerate(header)}
 
 
-DirectionFn = Callable[
-    [SimplicialMesh, shape.ElasticityParams, fem.DualVector],
-    tuple[np.ndarray, float, float],
-]
+class Iterate(NamedTuple):
+    """An optimizer's evaluation of the current mesh, made before any trial."""
+
+    objective: float
+    derivative: fem.DualVector
+    direction: np.ndarray  # search direction V, (nv, dim)
+    energy: float          # <E V, V>; the run converges once it is <= eps_tol**2
+    directional: float     # dJ(V)
+    state: object = None   # what the method builds its trials from
 
 
-def _restricted_direction(mesh, params, derivative):
-    res = shape.restricted_gradient(mesh, params, derivative)
-    return res.direction, res.energy, derivative.pair(res.direction)
+Trial = Callable[[float], tuple[np.ndarray, float, float]]
 
 
-def _classical_direction(mesh, params, derivative):
-    v = shape.classical_gradient(mesh, params, derivative).values
-    return v, _energy(mesh, params, v), derivative.pair(v)
-
-
-def _ssw_direction(mesh, params, derivative):
-    v = shape.ssw_direction(mesh, params, derivative).values
-    return v, _energy(mesh, params, v), derivative.pair(v)
-
-
-def _energy(mesh, params, v):
-    elasticity = shape.shape_operators(mesh, params).elasticity
-    return float(v.ravel() @ (elasticity @ v.ravel()))
-
-
-def _descend(
+def optimize(
     mesh: SimplicialMesh,
     data: ProblemData,
-    params: shape.ElasticityParams,
+    params: shape.ElasticityParams | None,
     config: LineSearchConfig,
-    direction_fn: DirectionFn,
     method: str,
-    allow_ascent_stop: bool,
-    callback: Callable | None,
+    start: Callable[[SimplicialMesh, ProblemData, shape.ElasticityParams], Iterate],
+    make_trial: Callable[..., Trial],
+    damped: bool = False,
+    callback: Callable | None = None,
 ) -> tuple[SimplicialMesh, RunRecord]:
+    """The outer loop and backtracking line search of every optimizer.
+
+    Each iteration evaluates ``start(mesh, data, params)`` and stops on
+    convergence, on a non-descent direction or at ``max_iterations``.
+    Otherwise ``make_trial(mesh, data, params, iterate)`` gives
+    ``trial(alpha) -> (field, step, slope)``: the trial mesh is
+    ``mesh + step * field`` and ``slope`` is dJ(field).  ``alpha`` grows by
+    1/beta when the search starts and shrinks by beta after each rejection.
+    A trial is accepted once its slope is negative, every cell passes the
+    quality safeguards and the Armijo test holds.  For the first-order
+    methods alpha is the step along a fixed direction; for Newton
+    (``damped``) it is the damping, recorded per row, and the step is 1.
+    """
+    params = params or shape.ElasticityParams()
     records: list[IterateRecord] = []
     alpha = config.alpha0
-    status = MAX_ITERATIONS
-    tol_energy = config.eps_tol**2
     for iteration in range(config.max_iterations + 1):
-        start = perf_counter()
-        u = fem.solve_state(mesh, data)
-        p = fem.solve_adjoint(mesh)
-        j_current = fem.objective(mesh, u)
-        derivative = shape.shape_derivative(mesh, data, u, p)
-        direction, energy, directional = direction_fn(mesh, params, derivative)
+        clock = perf_counter()
+        it = start(mesh, data, params)
         ratio = min_radius_ratio(mesh)
         if callback is not None:
             callback(
-                iteration=iteration, mesh=mesh, objective=j_current,
-                energy=energy, directional=directional, derivative=derivative,
-                direction=direction, operators=shape.shape_operators(mesh, params),
+                iteration=iteration, mesh=mesh, objective=it.objective,
+                energy=it.energy, directional=it.directional, derivative=it.derivative,
+                direction=it.direction, operators=shape.shape_operators(mesh, params),
             )
-        if energy <= tol_energy:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, 0,
-                ratio, perf_counter() - start,
-            ))
+        status = None
+        if it.energy <= config.eps_tol**2:
             status = CONVERGED
-            break
-        if allow_ascent_stop and directional >= 0.0:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, 0,
-                ratio, perf_counter() - start,
-            ))
+        elif it.directional >= 0.0:
             status = NON_DESCENT
-            logger.warning("%s: non-descent direction at iteration %d "
-                           "(dJ(V) = %.3e >= 0)", method, iteration, directional)
-            break
-        if iteration == config.max_iterations:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, 0,
-                ratio, perf_counter() - start,
-            ))
-            break
-        alpha = alpha / config.beta
-        backtracks = 0
-        accepted = None
-        while True:
-            report = quality_check(
-                mesh, direction, alpha, config.det_lo, config.det_hi, config.frob_max
-            )
-            if report.passed:
-                trial = apply_deformation(mesh, direction, alpha)
-                j_trial = fem.objective(trial, fem.solve_state(trial, data))
-                if armijo_accepts(j_current, j_trial, directional, alpha, config.sigma):
-                    accepted = trial
+        elif iteration == config.max_iterations:
+            status = MAX_ITERATIONS
+        step, backtracks, accepted = 0.0, 0, None
+        if status is None:
+            trial = make_trial(mesh, data, params, it)
+            alpha /= config.beta
+            while True:
+                field, step, slope = trial(alpha)
+                if slope < 0.0 and quality_check(
+                    mesh, field, step, config.det_lo, config.det_hi, config.frob_max
+                ).passed:
+                    moved = apply_deformation(mesh, field, step)
+                    j_trial = fem.objective(moved, fem.solve_state(moved, data))
+                    if armijo_accepts(it.objective, j_trial, slope, step, config.sigma):
+                        accepted = moved
+                        break
+                backtracks += 1
+                if backtracks > config.max_backtracks:
+                    status, step = LINE_SEARCH_FAILURE, 0.0
                     break
-            backtracks += 1
-            if backtracks > config.max_backtracks:
-                break
-            alpha *= config.beta
-        seconds = perf_counter() - start
-        if accepted is None:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, backtracks,
-                ratio, seconds,
-            ))
-            status = LINE_SEARCH_FAILURE
-            logger.warning("%s: line search exhausted %d backtracks at iteration %d",
-                           method, backtracks, iteration)
-            break
+                alpha *= config.beta
         records.append(IterateRecord(
-            iteration, j_current, energy, directional, alpha, backtracks,
-            ratio, seconds,
+            iteration, it.objective, it.energy, it.directional, step, backtracks,
+            ratio, perf_counter() - clock, alpha if damped else None,
         ))
+        logger.debug("%s it %d: J=%.10e energy=%.3e alpha=%.1e backtracks=%d",
+                     method, iteration, it.objective, it.energy, alpha, backtracks)
+        if status is not None:
+            break
         drop_derived(mesh)
         mesh = accepted
-    record = RunRecord(method, status, records)
+    if status in (NON_DESCENT, LINE_SEARCH_FAILURE):
+        logger.warning("%s: %s at iteration %d (dJ(V) = %.3e, %d backtracks)",
+                       method, status, iteration, it.directional, backtracks)
     logger.info("%s: %s after %d iterations (J = %.8e, energy = %.3e)",
-                method, record.status, records[-1].iteration,
-                records[-1].objective, records[-1].direction_energy)
-    return mesh, record
+                method, status, iteration, it.objective, it.energy)
+    return mesh, RunRecord(method, status, records)
+
+
+def _evaluate(mesh, data):
+    u = fem.solve_state(mesh, data)
+    derivative = shape.shape_derivative(mesh, data, u, fem.solve_adjoint(mesh))
+    return fem.objective(mesh, u), derivative
+
+
+def _restricted_start(mesh, data, params):
+    j, derivative = _evaluate(mesh, data)
+    res = shape.restricted_gradient(mesh, params, derivative)
+    return Iterate(j, derivative, res.direction, res.energy, derivative.pair(res.direction))
+
+
+def _solved_start(gradient):
+    """Iteration start along ``gradient(mesh, params, dJ)``, with energy <E V, V>."""
+
+    def start(mesh, data, params):
+        j, derivative = _evaluate(mesh, data)
+        v = gradient(mesh, params, derivative).values
+        elasticity = shape.shape_operators(mesh, params).elasticity
+        energy = float(v.ravel() @ (elasticity @ v.ravel()))
+        return Iterate(j, derivative, v, energy, derivative.pair(v))
+
+    return start
+
+
+def _along_direction(mesh, data, params, it):
+    """Trials along the iterate's fixed direction: alpha is the step size."""
+    return lambda alpha: (it.direction, alpha, it.directional)
 
 
 def restricted_descent(
@@ -294,10 +298,8 @@ def restricted_descent(
     every cell within the quality safeguards, so meshes stay valid for the
     whole run; the objective is non-increasing across accepted steps.
     """
-    return _descend(
-        mesh, data, params or shape.ElasticityParams(), config or LineSearchConfig(),
-        _restricted_direction, "restricted", allow_ascent_stop=False, callback=callback,
-    )
+    return optimize(mesh, data, params, config or LineSearchConfig(), "restricted",
+                    _restricted_start, _along_direction, callback=callback)
 
 
 def classical_descent(
@@ -308,10 +310,8 @@ def classical_descent(
     callback: Callable | None = None,
 ) -> tuple[SimplicialMesh, RunRecord]:
     """Descend along the unrestricted elasticity gradient (baseline)."""
-    return _descend(
-        mesh, data, params or shape.ElasticityParams(), config or LineSearchConfig(),
-        _classical_direction, "classical", allow_ascent_stop=False, callback=callback,
-    )
+    return optimize(mesh, data, params, config or LineSearchConfig(), "classical",
+                    _solved_start(shape.classical_gradient), _along_direction, callback=callback)
 
 
 def ssw_descent(
@@ -326,10 +326,8 @@ def ssw_descent(
     The masked direction need not be a descent direction; if dJ(V) >= 0 the
     run stops with status ``non_descent`` and the mesh is returned as is.
     """
-    return _descend(
-        mesh, data, params or shape.ElasticityParams(), config or LineSearchConfig(),
-        _ssw_direction, "ssw", allow_ascent_stop=True, callback=callback,
-    )
+    return optimize(mesh, data, params, config or LineSearchConfig(), "ssw",
+                    _solved_start(shape.ssw_direction), _along_direction, callback=callback)
 
 
 # ----------------------------------------------------------------------------

@@ -72,12 +72,16 @@ def assemble_stiffness(mesh: SimplicialMesh) -> sp.csr_matrix:
     return _scatter_cell_matrix(mesh, local)
 
 
+def reference_mass(dim: int) -> np.ndarray:
+    """P1 cell mass matrix per unit volume: (1 + delta_ij) / ((d+1)(d+2))."""
+    npc = dim + 1
+    return (np.ones((npc, npc)) + np.eye(npc)) / (npc * (npc + 1))
+
+
 def assemble_mass(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Full (nv, nv) mass matrix: vol * (1 + delta_ij) / ((d+1)(d+2)) per cell."""
     geo = cell_geometry(mesh)
-    npc = mesh.dim + 1
-    ref = (np.ones((npc, npc)) + np.eye(npc)) / ((npc) * (npc + 1))
-    local = geo.volumes[:, None, None] * ref[None, :, :]
+    local = geo.volumes[:, None, None] * reference_mass(mesh.dim)[None, :, :]
     return _scatter_cell_matrix(mesh, local)
 
 
@@ -114,8 +118,7 @@ class PoissonWorkspace:
 
 @per_mesh
 def poisson_workspace(mesh: SimplicialMesh) -> PoissonWorkspace:
-    K = assemble_stiffness(mesh)
-    read_only(K.data)
+    K = read_only(assemble_stiffness(mesh))
     idx = interior_vertices(mesh)
     factor = factorize(K[np.ix_(idx, idx)].tocsc())
     return PoissonWorkspace(K, idx, factor)

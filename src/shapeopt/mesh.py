@@ -183,8 +183,11 @@ def drop_derived(mesh: SimplicialMesh) -> None:
     mesh.__dict__.pop("_derived", None)
 
 
-def read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
+def read_only(array):
+    """Mark ``array``, or a sparse matrix's data, indices and indptr, read-only."""
+    parts = (array.data, array.indices, array.indptr) if hasattr(array, "indptr") else (array,)
+    for part in parts:
+        part.setflags(write=False)
     return array
 
 
@@ -202,10 +205,14 @@ class CellGeometry:
 
 @per_mesh
 def cell_geometry(mesh: SimplicialMesh) -> CellGeometry:
+    """Raises :class:`DegenerateMeshError` if a cell has non-positive volume."""
     coords = mesh.vertices[mesh.cells]
     edges = coords[:, 1:, :] - coords[:, :1, :]
     dim = mesh.dim
     volumes = np.linalg.det(edges) / np.prod(np.arange(1, dim + 1))
+    if volumes.size and volumes.min() <= 0.0:
+        worst = int(np.argmin(volumes))
+        raise DegenerateMeshError(f"cell {worst} has signed volume {volumes[worst]:.3e}")
     inv = np.linalg.inv(edges)
     grads = np.empty((mesh.num_cells, dim + 1, dim))
     grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
@@ -370,14 +377,9 @@ def apply_deformation(
         raise MeshError(
             f"deformation field shape {field.shape} != vertices {mesh.vertices.shape}"
         )
-    moved = mesh.vertices + alpha * field
-    vols = _signed_volumes(moved, mesh.cells)
-    if vols.min() <= 0.0:
-        raise DegenerateMeshError(
-            f"deformation inverts cell {int(np.argmin(vols))} "
-            f"(signed volume {vols.min():.3e} at alpha={alpha:g})"
-        )
-    return SimplicialMesh(moved, mesh.cells, mesh.boundary_facets)
+    moved = SimplicialMesh(mesh.vertices + alpha * field, mesh.cells, mesh.boundary_facets)
+    cell_geometry(moved)  # checks the volumes, and the moved mesh keeps the result
+    return moved
 
 
 # ----------------------------------------------------------------------------

@@ -21,54 +21,26 @@ differences of the first derivatives to discretization-free accuracy.
 from __future__ import annotations
 
 import dataclasses
-import logging
-from time import perf_counter
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem, quadrature, shape
-from .descent import (
-    CONVERGED,
-    LINE_SEARCH_FAILURE,
-    MAX_ITERATIONS,
-    IterateRecord,
-    RunRecord,
-    armijo_accepts,
-    validate_step_config,
-)
+from .descent import Iterate, LineSearchConfig, RunRecord, optimize
 from .linalg import BlockSystem, from_triplets
-from .mesh import (
-    SimplicialMesh,
-    apply_deformation,
-    boundary_normals,
-    drop_derived,
-    facet_owner_cells,
-    min_radius_ratio,
-    quality_check,
-)
+from .mesh import SimplicialMesh, boundary_normals, deformation_gradients, facet_owner_cells
 from .problems import ProblemData
-
-logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass(frozen=True)
-class NewtonConfig:
-    """Damping, line-search, and stopping parameters of the Newton loop."""
+class NewtonConfig(LineSearchConfig):
+    """Line-search settings of the Newton loop, where alpha is the damping."""
 
     alpha0: float = 1e-2
     beta: float = 0.1
-    sigma: float = 0.1
     eps_tol: float = 1e-9
     max_iterations: int = 40
-    max_backtracks: int = 60
-    det_lo: float = 0.5
-    det_hi: float = 2.0
-    frob_max: float = 0.3
-
-    def __post_init__(self) -> None:
-        validate_step_config(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,17 +72,6 @@ class LagrangianForms:
 
     # -- helpers -------------------------------------------------------------
 
-    def _cellwise(self, w_field: np.ndarray):
-        """Per-cell map data at deformation W: M = I + DW, inverse, det."""
-        mesh = self.mesh
-        dv = np.einsum(
-            "cia,cib->cab", np.asarray(w_field)[mesh.cells], self.geometry.grads
-        )
-        m = np.eye(mesh.dim)[None] + dv
-        det = np.linalg.det(m)
-        inv = np.linalg.inv(m)
-        return m, inv, det
-
     def _deformed_points(self, w_field: np.ndarray) -> np.ndarray:
         wq = np.einsum(
             "cia,qi->cqa", np.asarray(w_field)[self.mesh.cells], self.bary
@@ -128,7 +89,7 @@ class LagrangianForms:
     def value(self, w_field: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
         mesh = self.mesh
         vols = self.geometry.volumes
-        _, inv, det = self._cellwise(w_field)
+        inv, det = _pulled_back_map(mesh, w_field)
         a = self._field_grads(u)
         b = self._field_grads(p)
         ba = np.einsum("cda,cd->ca", inv, a)  # B a with B = M^{-T}
@@ -144,7 +105,7 @@ class LagrangianForms:
         """Derivative in u against interior hats, shape (n_interior,)."""
         mesh = self.mesh
         vols = self.geometry.volumes
-        _, inv, det = self._cellwise(w_field)
+        inv, det = _pulled_back_map(mesh, w_field)
         b = self._field_grads(p)
         bb = np.einsum("cda,cd->ca", inv, b)
         bg = np.einsum("cda,cid->cia", inv, self.geometry.grads)  # B grad(hat_i)
@@ -159,7 +120,7 @@ class LagrangianForms:
         """Derivative in p against interior hats, shape (n_interior,)."""
         mesh = self.mesh
         vols = self.geometry.volumes
-        _, inv, det = self._cellwise(w_field)
+        inv, det = _pulled_back_map(mesh, w_field)
         a = self._field_grads(u)
         ba = np.einsum("cda,cd->ca", inv, a)
         bg = np.einsum("cda,cid->cia", inv, self.geometry.grads)
@@ -180,7 +141,7 @@ class LagrangianForms:
         mesh = self.mesh
         vols = self.geometry.volumes
         G = self.geometry.grads
-        _, inv, det = self._cellwise(w_field)
+        inv, det = _pulled_back_map(mesh, w_field)
         a = self._field_grads(u)
         b = self._field_grads(p)
         ba = np.einsum("cda,cd->ca", inv, a)
@@ -317,11 +278,16 @@ class LagrangianForms:
 # pulled-back deformation operators and their linearizations at W = 0
 
 
+def _pulled_back_map(mesh: SimplicialMesh, w_field: np.ndarray):
+    """Inverse and determinant of I + DW on every cell."""
+    m = np.eye(mesh.dim)[None] + deformation_gradients(mesh, w_field)
+    return np.linalg.inv(m), np.linalg.det(m)
+
+
 def _owner_geometry(mesh: SimplicialMesh):
     """Owner-cell hat gradients and cell index for every boundary facet."""
     owners = facet_owner_cells(mesh)
-    geo = fem.cell_geometry(mesh)
-    return owners, geo.grads[owners], geo
+    return owners, fem.cell_geometry(mesh).grads[owners]
 
 
 def pulled_back_elasticity_apply(
@@ -340,11 +306,8 @@ def pulled_back_elasticity_apply(
     geo = fem.cell_geometry(mesh)
     G = geo.grads
     vols = geo.volumes
-    dw = np.einsum("cia,cib->cab", np.asarray(w_field)[mesh.cells], G)
-    m = np.eye(d)[None] + dw
-    det = np.linalg.det(m)
-    inv = np.linalg.inv(m)
-    dz = np.einsum("cia,cib->cab", np.asarray(z_field)[mesh.cells], G)
+    inv, det = _pulled_back_map(mesh, w_field)
+    dz = deformation_gradients(mesh, z_field)
     dza = np.einsum("cab,cbe->cae", dz, inv)
     eps = 0.5 * (dza + np.swapaxes(dza, 1, 2))
     tr = np.trace(dza, axis1=1, axis2=2)
@@ -352,10 +315,8 @@ def pulled_back_elasticity_apply(
     vj = vols * det
     contrib = 2.0 * params.mu * np.einsum("c,cae,cje->cja", vj, eps, h)
     contrib += params.lam * np.einsum("c,c,cja->cja", vj, tr, h)
-    npc = d + 1
-    ref_mass = (np.ones((npc, npc)) + np.eye(npc)) / (npc * (npc + 1))
     contrib += params.damping * np.einsum(
-        "c,ij,cia->cja", vj, ref_mass, np.asarray(z_field)[mesh.cells]
+        "c,ij,cia->cja", vj, fem.reference_mass(d), np.asarray(z_field)[mesh.cells]
     )
     out = np.zeros((mesh.num_vertices, d))
     np.add.at(out, mesh.cells.ravel(), contrib.reshape(-1, d))
@@ -364,10 +325,9 @@ def pulled_back_elasticity_apply(
 
 def _cofactor_normals(mesh: SimplicialMesh, w_field: np.ndarray) -> np.ndarray:
     """cof(I + DW) nu per boundary facet (owner-cell deformation gradient)."""
-    owners, _, geo = _owner_geometry(mesh)
-    dw = np.einsum("cia,cib->cab", np.asarray(w_field)[mesh.cells], geo.grads)
-    m = np.eye(mesh.dim)[None] + dw[owners]
-    cof = np.linalg.det(m)[:, None, None] * np.swapaxes(np.linalg.inv(m), 1, 2)
+    owners = facet_owner_cells(mesh)
+    inv, det = _pulled_back_map(mesh, w_field)
+    cof = det[owners, None, None] * np.swapaxes(inv[owners], 1, 2)
     return np.einsum("fab,fb->fa", cof, boundary_normals(mesh))
 
 
@@ -417,7 +377,7 @@ def d_elasticity(
     G = geo.grads
     vols = geo.volumes
     zc = np.asarray(z_field)[mesh.cells]
-    dz = np.einsum("cia,cib->cab", zc, G)
+    dz = deformation_gradients(mesh, z_field)
     eps = 0.5 * (dz + np.swapaxes(dz, 1, 2))
     divz = np.trace(dz, axis1=1, axis2=2)
     gg = np.einsum("cid,ckd->cik", G, G)
@@ -431,9 +391,7 @@ def d_elasticity(
     local -= params.lam * ein("c,c,cjm,cka->cjakm", vols, divz, G, G)
     elastic = 2.0 * params.mu * epsg + params.lam * divz[:, None, None] * G
     local += ein("c,ckm,cja->cjakm", vols, G, elastic)
-    npc = d + 1
-    ref_mass = (np.ones((npc, npc)) + np.eye(npc)) / (npc * (npc + 1))
-    mass_z = ein("c,ij,cia->cja", vols, ref_mass, zc)
+    mass_z = ein("c,ij,cia->cja", vols, fem.reference_mass(d), zc)
     local += params.damping * ein("ckm,cja->cjakm", G, mass_z)
     return shape._scatter_vector_matrix(mesh, local)
 
@@ -447,7 +405,7 @@ def d_normal_force(mesh: SimplicialMesh, force: np.ndarray) -> sp.csr_matrix:
     """
     d = mesh.dim
     facets = mesh.boundary_facets
-    owners, gown, _ = _owner_geometry(mesh)
+    owners, gown = _owner_geometry(mesh)
     fm = shape.facet_mass_matrices(mesh)
     normals = boundary_normals(mesh)
     fvals = np.asarray(force)[np.searchsorted(mesh.boundary_vertices, facets)]
@@ -467,7 +425,7 @@ def d_normal_transpose(mesh: SimplicialMesh, field: np.ndarray) -> sp.csr_matrix
     """Linearization of W -> (N^W)^* Pi at W = 0, shape (n_boundary, nv*dim)."""
     d = mesh.dim
     facets = mesh.boundary_facets
-    owners, gown, _ = _owner_geometry(mesh)
+    owners, gown = _owner_geometry(mesh)
     fm = shape.facet_mass_matrices(mesh)
     normals = boundary_normals(mesh)
     pif = np.asarray(field)[facets]  # (nf, j, comp)
@@ -571,36 +529,32 @@ def prepare_iterate(
     mesh: SimplicialMesh,
     data: ProblemData,
     params: shape.ElasticityParams,
-) -> tuple[NewtonIterate, dict]:
-    """Solve state, adjoint, and projection on the mesh; package the iterate."""
+) -> Iterate:
+    """Solve state, adjoint, and projection on the mesh; package the iterate.
+
+    The restricted gradient is the search direction; ``state`` holds the
+    :class:`NewtonIterate` the Newton system is built from.
+    """
     u = fem.solve_state(mesh, data)
     p = fem.solve_adjoint(mesh)
-    objective = fem.objective(mesh, u)
     derivative = shape.shape_derivative(mesh, data, u, p)
     res = shape.restricted_gradient(mesh, params, derivative)
-    iterate = NewtonIterate(u.values, p.values, res.direction, res.force, res.multiplier)
-    info = {
-        "objective": objective,
-        "derivative": derivative,
-        "energy": res.energy,
-        "directional": derivative.pair(res.direction),
-    }
-    return iterate, info
+    return Iterate(
+        fem.objective(mesh, u), derivative, res.direction, res.energy,
+        derivative.pair(res.direction),
+        NewtonIterate(u.values, p.values, res.direction, res.force, res.multiplier),
+    )
 
 
-def newton_step(
-    mesh: SimplicialMesh,
-    data: ProblemData,
-    params: shape.ElasticityParams,
-    iterate: NewtonIterate,
-    alpha: float,
-) -> fem.NodalField:
-    """One damped Newton mesh update from a prepared iterate.
+def _damped_trials(mesh, data, params, it):
+    """Damped Newton trials: alpha is the damping and the step is always 1."""
+    system = NewtonSystem(mesh, data, params, it.state)
 
-    For small alpha the step approaches alpha times the restricted gradient;
-    growing alpha recovers the full (undamped) Newton correction.
-    """
-    return fem.NodalField(NewtonSystem(mesh, data, params, iterate).step(alpha))
+    def trial(alpha):
+        w_step = system.step(alpha)
+        return w_step, 1.0, it.derivative.pair(w_step)
+
+    return trial
 
 
 def restricted_newton(
@@ -616,81 +570,8 @@ def restricted_newton(
     raises the damping by 1/beta, and backtracks (re-solving the system) until
     the step is a descent direction satisfying both the Armijo condition with
     unit step and the cell-quality safeguards.  Stops when the restricted
-    gradient energy falls below ``eps_tol**2``.
+    gradient energy falls below ``eps_tol**2``.  The loop is
+    :func:`shapeopt.descent.optimize`.
     """
-    params = params or shape.ElasticityParams()
-    config = config or NewtonConfig()
-    records: list[IterateRecord] = []
-    alpha = config.alpha0
-    status = MAX_ITERATIONS
-    tol_energy = config.eps_tol**2
-    for iteration in range(config.max_iterations + 1):
-        start = perf_counter()
-        iterate, info = prepare_iterate(mesh, data, params)
-        j_current = info["objective"]
-        energy = info["energy"]
-        directional = info["directional"]
-        derivative = info["derivative"]
-        ratio = min_radius_ratio(mesh)
-        if callback is not None:
-            callback(
-                iteration=iteration, mesh=mesh, objective=j_current, energy=energy,
-                directional=directional, derivative=derivative,
-                direction=iterate.direction,
-                operators=shape.shape_operators(mesh, params),
-            )
-        if energy <= tol_energy:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, 0, ratio,
-                perf_counter() - start, damping=alpha,
-            ))
-            status = CONVERGED
-            break
-        if iteration == config.max_iterations:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, 0, ratio,
-                perf_counter() - start, damping=alpha,
-            ))
-            break
-        system = NewtonSystem(mesh, data, params, iterate)
-        alpha = alpha / config.beta
-        backtracks = 0
-        accepted = None
-        while True:
-            w_step = system.step(alpha)
-            step_directional = derivative.pair(w_step)
-            ok = step_directional < 0.0 and quality_check(
-                mesh, w_step, 1.0, config.det_lo, config.det_hi, config.frob_max
-            ).passed
-            if ok:
-                trial = apply_deformation(mesh, w_step, 1.0)
-                j_trial = fem.objective(trial, fem.solve_state(trial, data))
-                if armijo_accepts(j_current, j_trial, step_directional, 1.0, config.sigma):
-                    accepted = trial
-                    break
-            backtracks += 1
-            if backtracks > config.max_backtracks:
-                break
-            alpha *= config.beta
-        seconds = perf_counter() - start
-        if accepted is None:
-            records.append(IterateRecord(
-                iteration, j_current, energy, directional, 0.0, backtracks,
-                ratio, seconds, damping=alpha,
-            ))
-            status = LINE_SEARCH_FAILURE
-            logger.warning("newton: line search exhausted at iteration %d", iteration)
-            break
-        records.append(IterateRecord(
-            iteration, j_current, energy, directional, 1.0, backtracks,
-            ratio, seconds, damping=alpha,
-        ))
-        logger.debug("newton it %d: J=%.10e energy=%.3e alpha=%.1e backtracks=%d",
-                     iteration, j_current, energy, alpha, backtracks)
-        drop_derived(mesh)
-        mesh = accepted
-    record = RunRecord("newton", status, records)
-    logger.info("newton: %s after %d iterations (energy %.3e, final damping %.1e)",
-                record.status, records[-1].iteration,
-                records[-1].direction_energy, records[-1].damping)
-    return mesh, record
+    return optimize(mesh, data, params, config or NewtonConfig(), "newton",
+                    prepare_iterate, _damped_trials, damped=True, callback=callback)

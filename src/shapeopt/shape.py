@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .fem import DualVector, NodalField
+from .fem import DualVector, NodalField, reference_mass
 from .linalg import Factorization, BlockSystem, factorize, from_triplets
 from .mesh import (
     SimplicialMesh,
@@ -120,10 +120,8 @@ def assemble_elasticity(mesh: SimplicialMesh, params: ElasticityParams) -> sp.cs
     local = params.mu * np.einsum("cjk,am->cjakm", gg, eye)
     local += params.mu * np.einsum("c,cjm,cka->cjakm", vols, G, G)
     local += params.lam * np.einsum("c,cja,ckm->cjakm", vols, G, G)
-    npc = d + 1
-    ref_mass = (np.ones((npc, npc)) + np.eye(npc)) / (npc * (npc + 1))
     local += params.damping * np.einsum(
-        "c,jk,am->cjakm", vols, ref_mass, eye
+        "c,jk,am->cjakm", vols, reference_mass(d), eye
     )
     return _scatter_vector_matrix(mesh, local)
 
@@ -184,10 +182,8 @@ class ShapeOperators:
 
 @per_mesh
 def shape_operators(mesh: SimplicialMesh, params: ElasticityParams) -> ShapeOperators:
-    E = assemble_elasticity(mesh, params)
-    N = assemble_normal_force(mesh)
-    read_only(E.data)
-    read_only(N.data)
+    E = read_only(assemble_elasticity(mesh, params))
+    N = read_only(assemble_normal_force(mesh))
     return ShapeOperators(E, factorize(E), N, mesh.boundary_vertices)
 
 

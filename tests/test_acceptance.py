@@ -359,14 +359,14 @@ def test_08_newton_convergence(newton_runs_2d, newton_run_3d):
 def test_09_small_damping_limit(disk0, data2d):
     """For small damping the Newton step is the scaled restricted gradient:
     ||W - alpha V||_E / (alpha ||V||_E) <= 0.1 for alpha <= 1e-4."""
-    iterate, info = newton.prepare_iterate(disk0, data2d, PARAMS)
+    iterate = newton.prepare_iterate(disk0, data2d, PARAMS)
     elasticity = shape.shape_operators(disk0, PARAMS).elasticity
     v = iterate.direction.ravel()
     v_norm = np.sqrt(v @ (elasticity @ v))
     print()
     for alpha in (1e-4, 1e-5, 1e-6):
-        w = newton.newton_step(disk0, data2d, PARAMS, iterate, alpha)
-        diff = w.values.ravel() - alpha * v
+        w = newton.NewtonSystem(disk0, data2d, PARAMS, iterate.state).step(alpha)
+        diff = w.ravel() - alpha * v
         ratio = np.sqrt(diff @ (elasticity @ diff)) / (alpha * v_norm)
         print(f"alpha={alpha:.0e}: ||W - alpha V||_E / (alpha ||V||_E) "
               f"= {ratio:.3e}")

@@ -37,3 +37,25 @@ def test_factorization_takes_the_matrix_first():
     from shapeopt.linalg import Factorization
 
     assert list(inspect.signature(Factorization.__init__).parameters)[1] == "matrix"
+
+
+def test_every_solver_returns_mesh_and_record_with_step_rows():
+    # bench/worker.py wraps each cli._SOLVERS entry, takes result[1] as the
+    # run record and counts rows with alpha > 0 as accepted steps
+    from shapeopt import cli
+    from shapeopt.descent import LineSearchConfig, RunRecord
+    from shapeopt.mesh import SimplicialMesh, generate_disk_mesh
+    from shapeopt.newton import NewtonConfig
+    from shapeopt.problems import benchmark_load_2d
+    from shapeopt.shape import ElasticityParams
+
+    mesh, data = generate_disk_mesh(1.0, 0), benchmark_load_2d()
+    for method, solver in cli._SOLVERS.items():
+        config_type = NewtonConfig if method == "restricted-newton" else LineSearchConfig
+        final, record = solver(mesh, data, ElasticityParams(), config_type(max_iterations=2),
+                               callback=None)
+        assert isinstance(final, SimplicialMesh), method
+        assert isinstance(record, RunRecord), method
+        *steps, terminal = record.iterates
+        assert all(r.alpha > 0.0 for r in steps), method
+        assert terminal.alpha == 0.0, method

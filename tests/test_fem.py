@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from shapeopt import fem
 from shapeopt.mesh import SimplicialMesh, apply_deformation, generate_disk_mesh
 from shapeopt.problems import ProblemData, benchmark_load_2d
+from shapeopt.shape import ElasticityParams, shape_operators
 from conftest import random_deformation
 
 
@@ -147,11 +148,16 @@ def test_adjoint_is_negated_unit_state(disk1):
 def test_per_mesh_data_is_computed_once_and_read_only(disk0, data2d, rng):
     geo = fem.cell_geometry(disk0)
     ws = fem.poisson_workspace(disk0)
+    ops = shape_operators(disk0, ElasticityParams())
     assert fem.cell_geometry(disk0) is geo
     assert fem.poisson_workspace(disk0) is ws
-    for array in (geo.volumes, geo.grads, ws.interior, ws.stiffness.data):
+    assert shape_operators(disk0, ElasticityParams()) is ops
+    arrays = [geo.volumes, geo.grads, ws.interior]
+    for matrix in (ws.stiffness, ops.elasticity, ops.normal_force):
+        arrays += [matrix.data, matrix.indices, matrix.indptr]
+    for array in arrays:
         with pytest.raises(ValueError):
-            array[0] = 0.0
+            array[0] = 0
     # a deformed mesh derives its own data and never inherits the parent's
     moved = apply_deformation(disk0, random_deformation(disk0, rng, scale=0.05))
     moved_ws = fem.poisson_workspace(moved)

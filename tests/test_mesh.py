@@ -10,6 +10,7 @@ from shapeopt.mesh import (
     apply_deformation,
     boundary_measures,
     boundary_normals,
+    cell_geometry,
     cell_radius_ratios,
     deformation_gradients,
     facet_owner_cells,
@@ -155,6 +156,15 @@ def test_apply_deformation_rejects_inversion(hexagon):
     field[0] = (3.0, 0.0)  # push the center far past the boundary ring
     with pytest.raises(DegenerateMeshError):
         apply_deformation(hexagon, field, 1.0)
+
+
+@pytest.mark.parametrize("apex", [(2.0, 0.0), (0.5, -1.0)])  # flat, then inverted
+def test_cell_geometry_rejects_non_positive_volume(apex):
+    # built directly, so no constructor check has looked at the volumes
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], apex])
+    mesh = SimplicialMesh(vertices, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))
+    with pytest.raises(DegenerateMeshError):
+        cell_geometry(mesh)
 
 
 def test_apply_deformation_shape_mismatch(hexagon):

@@ -1,14 +1,16 @@
 """Coupled second-order system: exactness at W = 0 and the damped step."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shapeopt import fem, newton, shape
-from shapeopt.descent import CONVERGED
+from shapeopt import fem, shape
+from shapeopt.descent import CONVERGED, LINE_SEARCH_FAILURE, LineSearchConfig
 from shapeopt.newton import (
     LagrangianForms,
     NewtonConfig,
-    newton_step,
+    NewtonSystem,
     prepare_iterate,
     pulled_back_elasticity_apply,
     pulled_back_normal_apply,
@@ -30,6 +32,16 @@ def solved(mesh, data):
 def test_newton_config_validation(kwargs):
     with pytest.raises(ValueError):
         NewtonConfig(**kwargs)
+
+
+def test_newton_config_differs_from_line_search_only_in_four_defaults():
+    newton_cfg, line_search = NewtonConfig(), LineSearchConfig()
+    assert isinstance(newton_cfg, LineSearchConfig)
+    names = [f.name for f in dataclasses.fields(NewtonConfig)]
+    assert names == [f.name for f in dataclasses.fields(LineSearchConfig)]
+    differ = {n: getattr(newton_cfg, n) for n in names
+              if getattr(newton_cfg, n) != getattr(line_search, n)}
+    assert differ == {"alpha0": 1e-2, "beta": 0.1, "eps_tol": 1e-9, "max_iterations": 40}
 
 
 def test_lagrangian_at_zero_equals_objective(disk0, data2d):
@@ -126,8 +138,7 @@ def test_pulled_back_operators_reduce_to_assembled(disk0, params, rng):
 def test_newton_residual_vanishes_except_force_row(disk0, data2d, params):
     """At a restricted iterate the only nonzero residual block is the damping
     row, which carries the current boundary force."""
-    iterate, info = prepare_iterate(disk0, data2d, params)
-    system = newton.NewtonSystem(disk0, data2d, params, iterate)
+    system = NewtonSystem(disk0, data2d, params, prepare_iterate(disk0, data2d, params).state)
     residual = system.residual
     for name, part in residual.items():
         if name == "G":
@@ -137,13 +148,13 @@ def test_newton_residual_vanishes_except_force_row(disk0, data2d, params):
 
 
 def test_small_damping_step_is_scaled_gradient(disk0, data2d, params):
-    iterate, info = prepare_iterate(disk0, data2d, params)
+    it = prepare_iterate(disk0, data2d, params)
     ops = shape.shape_operators(disk0, params)
     alpha = 1e-5
-    w = newton_step(disk0, data2d, params, iterate, alpha).values
-    diff = (w - alpha * iterate.direction).ravel()
+    w = NewtonSystem(disk0, data2d, params, it.state).step(alpha)
+    diff = (w - alpha * it.direction).ravel()
     rel = np.sqrt(diff @ (ops.elasticity @ diff)) / (
-        alpha * np.sqrt(info["energy"])
+        alpha * np.sqrt(it.energy)
     )
     assert rel <= 1e-3
 
@@ -163,3 +174,31 @@ def test_restricted_newton_records_damping(disk0, data2d, params):
     config = NewtonConfig(max_iterations=2)
     _, record = restricted_newton(disk0, data2d, params, config)
     assert all(r.damping is not None for r in record.iterates)
+
+
+def test_newton_line_search_failure_records_last_damping(disk0, data2d, params):
+    # no step of the first iteration can pass frob_max = 1e-9
+    config = NewtonConfig(max_backtracks=2, frob_max=1e-9)
+    final, record = restricted_newton(disk0, data2d, params, config)
+    assert record.status == LINE_SEARCH_FAILURE
+    assert final is disk0
+    assert len(record.iterates) == 1
+    row = record.final
+    assert row.alpha == 0.0
+    assert row.backtracks == 3
+    # damping alpha0 / beta, then two rejections that each scale it by beta
+    assert row.damping == pytest.approx(config.alpha0 * config.beta, rel=1e-12)
+
+
+def test_newton_callback_sees_every_iterate(disk0, data2d, params):
+    seen = []
+    config = NewtonConfig(max_iterations=3)
+    restricted_newton(disk0, data2d, params, config,
+                      callback=lambda **kw: seen.append(kw))
+    assert [kw["iteration"] for kw in seen] == [0, 1, 2, 3]
+    assert {frozenset(kw) for kw in seen} == {frozenset((
+        "iteration", "mesh", "objective", "energy", "directional",
+        "derivative", "direction", "operators",
+    ))}
+    assert seen[0]["mesh"] is disk0
+    assert seen[0]["directional"] == pytest.approx(-seen[0]["energy"], rel=1e-8)
