@@ -124,22 +124,24 @@ def poisson_workspace(mesh: SimplicialMesh) -> PoissonWorkspace:
     return PoissonWorkspace(K, idx, factor)
 
 
+@per_mesh
 def solve_state(mesh: SimplicialMesh, data: ProblemData) -> NodalField:
     """Solve -laplace(u) = f with zero Dirichlet values; returns all-vertex values."""
     ws = poisson_workspace(mesh)
     rhs = assemble_load(mesh, data)
     u = np.zeros(mesh.num_vertices)
     u[ws.interior] = ws.factor.solve(rhs[ws.interior])
-    return NodalField(u)
+    return NodalField(read_only(u))
 
 
+@per_mesh
 def solve_adjoint(mesh: SimplicialMesh) -> NodalField:
     """Adjoint of J = integral(u): (grad p, grad v) = -(1, v), zero on the boundary."""
     ws = poisson_workspace(mesh)
     rhs = -assemble_unit_load(mesh)
     p = np.zeros(mesh.num_vertices)
     p[ws.interior] = ws.factor.solve(rhs[ws.interior])
-    return NodalField(p)
+    return NodalField(read_only(p))
 
 
 def objective(mesh: SimplicialMesh, u: NodalField | np.ndarray) -> float:

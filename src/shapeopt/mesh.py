@@ -244,12 +244,20 @@ def _extract_boundary_facets(cells: np.ndarray) -> np.ndarray:
 @per_mesh
 def facet_owner_cells(mesh: SimplicialMesh) -> np.ndarray:
     """Index of the unique cell owning each boundary facet."""
-    faces = _cell_facets(mesh.cells)
-    owners = np.tile(np.arange(mesh.num_cells), len(faces) // mesh.num_cells)
-    lut = {tuple(sorted(f)): owners[i] for i, f in enumerate(faces)}
-    return read_only(
-        np.array([lut[tuple(sorted(f))] for f in mesh.boundary_facets], dtype=np.int64)
-    )
+    faces = np.sort(_cell_facets(mesh.cells), axis=1)
+    keys = np.concatenate((faces, np.sort(mesh.boundary_facets, axis=1)))
+    # sorted by vertex ids, then cell faces before boundary facets: each
+    # boundary facet lands right after its owner's copy of the same face
+    is_facet = np.arange(len(keys)) >= len(faces)
+    order = np.lexsort((is_facet, *keys.T[::-1]))
+    at = np.flatnonzero(is_facet[order])
+    face = order[np.maximum(at - 1, 0)]
+    found = (at > 0) & ~is_facet[face] & np.all(keys[face] == keys[order[at]], axis=1)
+    if not found.all():
+        raise MeshError("a boundary facet is not a face of any cell")
+    owners = np.empty(len(mesh.boundary_facets), dtype=np.int64)
+    owners[order[at] - len(faces)] = face % mesh.num_cells
+    return read_only(owners)
 
 
 def boundary_normals(mesh: SimplicialMesh) -> np.ndarray:

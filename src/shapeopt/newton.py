@@ -13,6 +13,9 @@ solves the linearization of the seven coupled equations at the current mesh
 (W = 0, G = 0) and applies the resulting W; the damping parameter alpha
 scales the force-update equation G = alpha * F, so small alpha reproduces the
 restricted gradient flow and large alpha approaches the undamped method.
+The step W is itself a deformation driven by the normal boundary force G, so
+the system is solved exactly in G: one dense nb x nb solve per damping value
+(see :class:`NewtonSystem`).
 
 All second derivatives are exact: the quadrature integrates every term of the
 polynomial benchmark loads without error, so the Jacobian blocks match finite
@@ -24,11 +27,12 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import fem, quadrature, shape
 from .descent import Iterate, LineSearchConfig, RunRecord, optimize
-from .linalg import BlockSystem, from_triplets
+from .linalg import from_triplets
 from .mesh import SimplicialMesh, boundary_normals, deformation_gradients, facet_owner_cells
 from .problems import ProblemData
 
@@ -451,9 +455,20 @@ class NewtonSystem:
     """Linearization of the coupled optimality system at the current mesh.
 
     Unknown blocks (sizes): W (nv*d), G (nb), u (ni), p (ni), V (nv*d),
-    F (nb), Pi (nv*d).  The damping alpha only enters the force-update row
-    G - alpha F = 0, so rebuilding the system for a new alpha reuses every
-    assembled block.
+    F (nb), Pi (nv*d).  ``blocks`` holds the nonzero Jacobian blocks keyed
+    by (row, column) and ``residual`` the residual per row.  The damping
+    alpha only enters the force-update row -G/alpha + F = -force, whose
+    diagonal block -I/alpha is left out of ``blocks``.
+
+    The system is solved by exact reduction onto the boundary force G.  The
+    W row E W = N G makes every step a normal-force deformation W = Phi G
+    with Phi = E^{-1} N.  Given G, the u and p rows are interior Poisson
+    solves and the (V, F, Pi) rows are the saddle [E N; N^T 0], solved
+    through Phi and the dense Cholesky factor of S = N^T Phi.  Everything is
+    affine in G, so F = F0 + T G, where ``T`` = dF/dG is a dense nb x nb
+    matrix; each positive real eigenvalue lambda of T puts a pole of the
+    step at alpha = 1/lambda.  The reduction reuses the mesh's elasticity
+    and Poisson factorizations and factorizes no sparse matrix.
     """
 
     def __init__(
@@ -482,25 +497,17 @@ class NewtonSystem:
         dn_f = d_normal_force(mesh, iterate.force)
         dns_pi = d_normal_transpose(mesh, iterate.multiplier)
         E, N = ops.elasticity, ops.normal_force
-        system = BlockSystem({"W": nd, "G": nb, "u": ni, "p": ni, "V": nd, "F": nb, "Pi": nd})
-        system.set_identity("G", "F", 1.0)
-        system.set_block("W", "W", E)
-        system.set_block("W", "G", -N)
-        system.set_block("u", "W", c_uw)
-        system.set_block("u", "p", stiff)
-        system.set_block("p", "W", c_pw)
-        system.set_block("p", "u", stiff)
-        system.set_block("V", "W", h_ww + de_vpi)
-        system.set_block("V", "u", c_uw.T)
-        system.set_block("V", "p", c_pw.T)
-        system.set_block("V", "V", E)
-        system.set_block("V", "Pi", E)
-        system.set_block("F", "W", -dns_pi)
-        system.set_block("F", "Pi", -N.T)
-        system.set_block("Pi", "W", de_v - dn_f)
-        system.set_block("Pi", "V", E)
-        system.set_block("Pi", "F", -N)
-        self.system = system
+        self.sizes = {"W": nd, "G": nb, "u": ni, "p": ni, "V": nd, "F": nb, "Pi": nd}
+        self.blocks = {
+            ("W", "W"): E, ("W", "G"): -N,
+            ("G", "F"): sp.identity(nb, format="csr"),
+            ("u", "W"): c_uw, ("u", "p"): stiff,
+            ("p", "W"): c_pw, ("p", "u"): stiff,
+            ("V", "W"): h_ww + de_vpi, ("V", "u"): c_uw.T, ("V", "p"): c_pw.T,
+            ("V", "V"): E, ("V", "Pi"): E,
+            ("F", "W"): -dns_pi, ("F", "Pi"): -N.T,
+            ("Pi", "W"): de_v - dn_f, ("Pi", "V"): E, ("Pi", "F"): -N,
+        }
         zero_w = np.zeros_like(iterate.direction)
         self.residual = {
             "G": iterate.force.copy(),
@@ -511,14 +518,46 @@ class NewtonSystem:
             "F": -(N.T @ pi_flat),
             "Pi": E @ v_flat - N @ iterate.force,
         }
+        b = self.blocks
+        self._elasticity = ops.elasticity_factor
+        self._poisson = fem.poisson_workspace(mesh).factor
+        phi = self._phi = self._elasticity.solve(N.toarray())
+        self._schur = scipy.linalg.cho_factor(N.T @ phi)
+        # G -> (u, p) -> (V, Pi) -> F, linearly; Phi^T = N^T E^{-1} as E is symmetric
+        xky = (b["u", "W"] @ phi).T @ self._poisson.solve(b["p", "W"] @ phi)
+        coupling = phi.T @ ((b["Pi", "W"] - b["V", "W"]) @ phi) - b["F", "W"] @ phi
+        self.T = scipy.linalg.cho_solve(self._schur, coupling + xky + xky.T)
+        self._f0 = self._recover(np.zeros(nb))["F"]
+
+    def _recover(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        """All solution blocks for the force update G, from every row but G's."""
+        b = self.blocks
+        r = {name: -vec for name, vec in self.residual.items()}
+        w = self._phi @ g  # the W row E W - N G = 0 has a zero residual
+        p, u = self._poisson.solve(np.column_stack((
+            r["u"] - b["u", "W"] @ w, r["p"] - b["p", "W"] @ w,
+        ))).T
+        rhs_v = r["V"] - b["V", "W"] @ w - b["V", "u"] @ u - b["V", "p"] @ p
+        rhs_pi = r["Pi"] - b["Pi", "W"] @ w
+        z_pi, z_v = self._elasticity.solve(np.column_stack((rhs_pi, rhs_v))).T
+        # with V = z_pi + Phi F and Pi = z_v - V the F row reads
+        # S F = r_F + dns_pi W + N^T (z_v - z_pi)
+        f = scipy.linalg.cho_solve(
+            self._schur, r["F"] - b["F", "W"] @ w + b["F", "Pi"] @ (z_pi - z_v)
+        )
+        v = z_pi + self._phi @ f
+        return {"W": w, "G": g, "u": u, "p": p, "V": v, "F": f, "Pi": z_v - v}
 
     def solve(self, alpha: float) -> dict[str, np.ndarray]:
-        """Solve the damped system; returns all solution blocks keyed by name."""
+        """Solve the damped system; returns all solution blocks keyed by name.
+
+        The G row -G/alpha + F0 + T G = -force is the dense nb x nb system
+        (I/alpha - T) G = F0 + force; the other blocks follow from G.
+        """
         if alpha <= 0.0:
             raise ValueError(f"damping alpha must be positive, got {alpha}")
-        self.system.set_identity("G", "G", -1.0 / alpha)
-        rhs = {name: -vec for name, vec in self.residual.items()}
-        return self.system.solve(rhs)
+        damped = np.eye(len(self._f0)) / alpha - self.T
+        return self._recover(np.linalg.solve(damped, self._f0 + self.residual["G"]))
 
     def step(self, alpha: float) -> np.ndarray:
         """Mesh update W of the damped Newton step, shape (nv, dim)."""

@@ -34,6 +34,28 @@ def test_line_search_config_validation(kwargs):
         LineSearchConfig(**kwargs)
 
 
+@pytest.mark.parametrize("solver", ["restricted", "newton"])
+def test_accepted_trial_state_is_not_solved_again(solver, data2d, monkeypatch):
+    """The Armijo test solves the state on each trial mesh; the next
+    iteration start reuses it, so the loads assembled are one per moved mesh
+    plus one for the initial mesh."""
+    from shapeopt.mesh import generate_disk_mesh
+    from shapeopt.newton import NewtonConfig, restricted_newton
+
+    loads, moves = [], []
+    assemble, move = fem.assemble_load, descent.apply_deformation
+    monkeypatch.setattr(fem, "assemble_load", lambda *args: loads.append(1) or assemble(*args))
+    monkeypatch.setattr(descent, "apply_deformation",
+                        lambda *args: moves.append(1) or move(*args))
+    mesh = generate_disk_mesh(1.0, 0)
+    if solver == "restricted":
+        _, record = descent.restricted_descent(mesh, data2d, config=LineSearchConfig(max_iterations=3))
+    else:
+        _, record = restricted_newton(mesh, data2d, config=NewtonConfig(max_iterations=3))
+    assert len(record.iterates) == 4
+    assert len(loads) == len(moves) + 1
+
+
 def test_already_stationary_mesh_returns_immediately(disk0, data2d):
     config = LineSearchConfig(eps_tol=1e3)  # tolerance above any real energy
     final, record = descent.restricted_descent(disk0, data2d, config=config)

@@ -12,7 +12,7 @@ import sympy
 from numpy.testing import assert_allclose
 
 from shapeopt import fem
-from shapeopt.mesh import SimplicialMesh, apply_deformation, generate_disk_mesh
+from shapeopt.mesh import SimplicialMesh, apply_deformation, drop_derived, generate_disk_mesh
 from shapeopt.problems import ProblemData, benchmark_load_2d
 from shapeopt.shape import ElasticityParams, shape_operators
 from conftest import random_deformation
@@ -168,6 +168,23 @@ def test_per_mesh_data_is_computed_once_and_read_only(disk0, data2d, rng):
     assert np.array_equal(
         fem.solve_state(moved, data2d).values, fem.solve_state(fresh, data2d).values
     )
+
+
+def test_state_and_adjoint_are_solved_once_per_mesh(data2d, monkeypatch):
+    mesh = generate_disk_mesh(1.0, 0)
+    loads = []
+    assemble = fem.assemble_load
+    monkeypatch.setattr(fem, "assemble_load", lambda *args: loads.append(1) or assemble(*args))
+    u, p = fem.solve_state(mesh, data2d), fem.solve_adjoint(mesh)
+    assert fem.solve_state(mesh, data2d) is u and fem.solve_adjoint(mesh) is p
+    assert len(loads) == 1
+    for values in (u.values, p.values):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    drop_derived(mesh)
+    again = fem.solve_state(mesh, data2d)
+    assert again is not u and np.array_equal(again.values, u.values)
+    assert len(loads) == 2
 
 
 def test_used_mesh_pickles_without_its_derived_data(disk0, data2d):

@@ -69,6 +69,27 @@ def test_facet_owner_cells(hexagon):
         assert set(facet) <= set(hexagon.cells[owner])
 
 
+def test_facet_owner_cells_match_a_search_over_all_faces(cube2):
+    # any facet order, same owners as a dict from each cell face to its cell
+    order = np.random.default_rng(5).permutation(len(cube2.boundary_facets))
+    mesh = SimplicialMesh(cube2.vertices, cube2.cells, cube2.boundary_facets[order])
+    owner_of = {}
+    for cell, nodes in enumerate(mesh.cells):
+        for drop in range(4):
+            owner_of[tuple(sorted(np.delete(nodes, drop)))] = cell
+    expected = [owner_of[tuple(sorted(f))] for f in mesh.boundary_facets]
+    owners = facet_owner_cells(mesh)
+    assert owners.dtype == np.int64 and not owners.flags.writeable
+    assert owners.tolist() == expected
+
+
+def test_facet_owner_cells_rejects_a_facet_of_no_cell(hexagon):
+    facets = hexagon.boundary_facets.copy()
+    facets[0] = (1, 3)  # a chord, not an edge of any triangle
+    with pytest.raises(MeshError):
+        facet_owner_cells(SimplicialMesh(hexagon.vertices, hexagon.cells, facets))
+
+
 def test_boundary_normals_outward_unit(disk0):
     normals = boundary_normals(disk0)
     assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)

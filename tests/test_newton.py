@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shapeopt import fem, shape
+from shapeopt import fem, linalg, shape
 from shapeopt.descent import CONVERGED, LINE_SEARCH_FAILURE, LineSearchConfig
+from shapeopt.linalg import BlockSystem, factorize
 from shapeopt.newton import (
     LagrangianForms,
     NewtonConfig,
     NewtonSystem,
+    d_elasticity,
+    d_normal_force,
+    d_normal_transpose,
     prepare_iterate,
     pulled_back_elasticity_apply,
     pulled_back_normal_apply,
+    pulled_back_normal_transpose_apply,
     restricted_newton,
 )
 from conftest import random_deformation
@@ -133,6 +138,95 @@ def test_pulled_back_operators_reduce_to_assembled(disk0, params, rng):
     force = rng.standard_normal(len(disk0.boundary_vertices))
     nf = pulled_back_normal_apply(disk0, zero, force)
     assert_allclose(nf.ravel(), ops.normal_force @ force, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["hexagon", "cube2"])
+def test_deformation_operator_linearizations_match_central_differences(name, request, params):
+    """d_elasticity, d_normal_force and d_normal_transpose are the W-derivatives
+    at W = 0 of the pulled-back elasticity, normal force and its transpose."""
+    mesh = request.getfixturevalue(name)
+    rng = np.random.default_rng(71)
+    h = 1e-5
+    x = random_deformation(mesh, rng)
+    z = random_deformation(mesh, rng)
+    force = rng.standard_normal(len(mesh.boundary_vertices))
+    for label, linearized, apply in (
+        ("d_elasticity", d_elasticity(mesh, params, z),
+         lambda w: pulled_back_elasticity_apply(mesh, params, w, z).ravel()),
+        ("d_normal_force", d_normal_force(mesh, force),
+         lambda w: pulled_back_normal_apply(mesh, w, force).ravel()),
+        ("d_normal_transpose", d_normal_transpose(mesh, z),
+         lambda w: pulled_back_normal_transpose_apply(mesh, w, z)),
+    ):
+        fd = (apply(h * x) - apply(-h * x)) / (2.0 * h)
+        rel = np.linalg.norm(linearized @ x.ravel() - fd) / np.linalg.norm(fd)
+        assert rel <= 1e-6, f"{name} {label}: rel={rel:.3e}"
+
+
+def monolith(system, alpha):
+    """The seven-block Newton matrix and right-hand side at damping alpha."""
+    blocks = BlockSystem(system.sizes)
+    for (row, col), block in system.blocks.items():
+        blocks.set_block(row, col, block)
+    blocks.set_identity("G", "G", -1.0 / alpha)
+    rhs = blocks.join({name: -vec for name, vec in system.residual.items()})
+    return blocks, blocks.matrix(), rhs
+
+
+@pytest.mark.parametrize("name", ["disk0", "cube2"])
+def test_reduced_step_matches_monolithic_oracle(name, request, params):
+    """The reduction onto G solves the assembled seven-block system, whose
+    sparse LU gives the same mesh update W, for damping from 1e-6 to 1e4."""
+    mesh = request.getfixturevalue(name)
+    data = request.getfixturevalue("data2d" if mesh.dim == 2 else "data3d")
+    system = NewtonSystem(mesh, data, params, prepare_iterate(mesh, data, params).state)
+    for alpha in (1e-6, 1e-2, 1.0, 10.0, 1e4):
+        blocks, matrix, rhs = monolith(system, alpha)
+        reduced = system.solve(alpha)
+        assert list(reduced) == list(system.sizes)
+        x = blocks.join(reduced)
+        residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
+        assert residual <= 1e-11, f"alpha={alpha:g}: residual {residual:.3e}"
+        w_lu = blocks.split(factorize(matrix).solve(rhs))["W"]
+        w_err = np.linalg.norm(reduced["W"] - w_lu) / np.linalg.norm(w_lu)
+        assert w_err <= 1e-9, f"alpha={alpha:g}: W differs by {w_err:.3e}"
+
+
+def test_newton_system_factorizes_nothing(disk0, data2d, params, monkeypatch):
+    it = prepare_iterate(disk0, data2d, params)
+    calls = []
+    init = linalg.Factorization.__init__
+
+    def counted(self, matrix):
+        calls.append(matrix.shape)
+        init(self, matrix)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counted)
+    system = NewtonSystem(disk0, data2d, params, it.state)
+    for alpha in (0.1, 1.0, 10.0):
+        system.solve(alpha)
+    assert calls == []
+
+
+def test_force_response_poles_vanish_at_the_converged_disk(data2d, params):
+    """T = dF/dG has positive eigenvalues at the start of the disk0 run, which
+    cap the damping, and none on the converged mesh."""
+    from shapeopt.mesh import generate_disk_mesh
+
+    mesh = generate_disk_mesh(1.0, 0)
+
+    def spectrum(m):
+        it = prepare_iterate(m, data2d, params)
+        eig = np.linalg.eigvals(NewtonSystem(m, data2d, params, it.state).T)
+        return eig.real.max(), int(np.sum(eig.real > 0.0))
+
+    top, positive = spectrum(mesh)
+    assert top == pytest.approx(0.855, abs=5e-3)
+    assert positive == 12
+    final, record = restricted_newton(mesh, data2d, params)
+    assert record.status == CONVERGED
+    top, positive = spectrum(final)
+    assert top < 0.0 and positive == 0
 
 
 def test_newton_residual_vanishes_except_force_row(disk0, data2d, params):
