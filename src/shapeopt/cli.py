@@ -95,8 +95,8 @@ class ExperimentConfig:
             raise ConfigError(f"level must be >= 0, got {self.level}")
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        if self.side <= 0.0 or self.radius <= 0.0 or self.n_per_edge < 1:
-            raise ConfigError("mesh dimensions must be positive")
+        if not (0.0 < self.side < np.inf and 0.0 < self.radius < np.inf) or self.n_per_edge < 1:
+            raise ConfigError("mesh dimensions must be positive and finite")
         if self.problem == "custom":
             if not self.mesh_file:
                 raise ConfigError("custom problems need mesh_file")

@@ -81,7 +81,10 @@ class BlockSystem:
 
     Blocks default to structural zeros.  ``solve`` concatenates the named
     right-hand sides, LU-solves the assembled matrix, and splits the solution
-    back into named pieces.
+    back into named pieces.  No solver of the package uses it: the tests
+    assemble the projection saddle and the seven-block Newton system with it
+    as the reference the reduced solvers are checked against, and the
+    benchmark's tracing hooks name ``BlockSystem.matrix``.
     """
 
     def __init__(self, sizes: dict[str, int]):

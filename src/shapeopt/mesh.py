@@ -101,8 +101,12 @@ class SimplicialMesh:
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         cells = np.array(cells, dtype=np.int64)
+        if vertices.ndim != 2 or cells.ndim != 2 or cells.shape[1] != vertices.shape[1] + 1:
+            raise MeshError(f"cells {cells.shape} do not fit vertices {vertices.shape}")
         if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
             raise MeshError("cell index out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise MeshError("vertex coordinates must be finite")
         vols = _signed_volumes(vertices, cells)
         flip = vols < 0.0
         if np.any(flip):

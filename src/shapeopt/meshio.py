@@ -26,6 +26,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _numbers(kind: type, words: list[str], what: str) -> list:
+    """Every word parsed as ``kind`` (int or float); a bad word is a MeshError."""
+    try:
+        return [kind(word) for word in words]
+    except ValueError:
+        raise MeshError(f"{what}: expected {kind.__name__} values, got {words[:8]}") from None
+
+
+def _count(words: list[str], what: str) -> int:
+    """The one non-negative integer in ``words``."""
+    values = _numbers(int, words, what)
+    if len(values) != 1 or values[0] < 0:
+        raise MeshError(f"{what}: expected a count, got {words}")
+    return values[0]
+
+
 def write_vtk(
     mesh: SimplicialMesh,
     path: str | Path,
@@ -97,25 +113,29 @@ def read_vtk(path: str | Path) -> tuple[SimplicialMesh, dict[str, np.ndarray]]:
         cursor += count
         return out
 
+    def count(section: str) -> int:
+        return _count(take(1), f"VTK {section}")
+
     expect("DATASET")
     expect("UNSTRUCTURED_GRID")
     expect("POINTS")
-    nv = int(take(1)[0])
+    nv = count("POINTS")
     take(1)  # dtype
-    points = np.array([float(t) for t in take(3 * nv)]).reshape(nv, 3)
+    points = np.array(_numbers(float, take(3 * nv), "VTK POINTS")).reshape(nv, 3)
     expect("CELLS")
-    nc = int(take(1)[0])
-    total = int(take(1)[0])
-    raw = [int(t) for t in take(total)]
-    cells, pos = [], 0
-    for _ in range(nc):
-        npc = raw[pos]
-        cells.append(raw[pos + 1 : pos + 1 + npc])
-        pos += npc + 1
+    nc, total = count("CELLS"), count("CELLS")
+    table = np.array(_numbers(int, take(total), "VTK CELLS"))
+    width = total // nc if nc else 0
+    if width < 2 or width * nc != total:
+        raise MeshError(f"VTK parse error: {total} CELLS entries for {nc} cells of one size")
+    table = table.reshape(nc, width)
+    if np.any(table[:, 0] != width - 1):
+        raise MeshError("VTK parse error: CELLS vertex counts disagree with the cell size")
+    cells = table[:, 1:]
     expect("CELL_TYPES")
-    if int(take(1)[0]) != nc:
+    if count("CELL_TYPES") != nc:
         raise MeshError("VTK parse error: CELL_TYPES count mismatch")
-    types = {int(t) for t in take(nc)}
+    types = set(_numbers(int, take(nc), "VTK CELL_TYPES"))
     if types == {_VTK_TRIANGLE}:
         dim = 2
     elif types == {_VTK_TETRA}:
@@ -128,20 +148,20 @@ def read_vtk(path: str | Path) -> tuple[SimplicialMesh, dict[str, np.ndarray]]:
         word = tokens[cursor].upper()
         cursor += 1
         if word == "POINT_DATA":
-            if int(take(1)[0]) != nv:
+            if count("POINT_DATA") != nv:
                 raise MeshError("VTK parse error: POINT_DATA count mismatch")
         elif word == "SCALARS":
             name, _dtype, _comps = take(3)
             expect("LOOKUP_TABLE")
             take(1)
-            point_data[name] = np.array([float(t) for t in take(nv)])
+            point_data[name] = np.array(_numbers(float, take(nv), f"VTK SCALARS {name}"))
         elif word == "VECTORS":
             name, _dtype = take(2)
-            vec = np.array([float(t) for t in take(3 * nv)]).reshape(nv, 3)
+            vec = np.array(_numbers(float, take(3 * nv), f"VTK VECTORS {name}")).reshape(nv, 3)
             point_data[name] = vec[:, :dim]
         else:
             raise MeshError(f"VTK parse error: unexpected section {word!r}")
-    return SimplicialMesh.from_cells(vertices, np.array(cells)), point_data
+    return _checked(vertices, cells), point_data
 
 
 def _tokenize_vtk(text: str) -> list[str]:
@@ -186,34 +206,44 @@ def read_gmsh(path: str | Path) -> SimplicialMesh:
     if "Nodes" not in sections or "Elements" not in sections:
         raise MeshError("MSH file lacks $Nodes or $Elements")
     node_lines = sections["Nodes"]
-    count = int(node_lines[0])
-    ids = np.empty(count, dtype=np.int64)
-    coords = np.empty((count, 3))
-    for row, line in enumerate(node_lines[1 : 1 + count]):
-        parts = line.split()
-        ids[row] = int(parts[0])
-        coords[row] = [float(x) for x in parts[1:4]]
-    renumber = {int(i): k for k, i in enumerate(ids)}
+    count = _count(node_lines[0].split() if node_lines else [], "MSH $Nodes")
+    nodes = [line.split() for line in node_lines[1 : 1 + count]]
+    if len(nodes) != count or any(len(parts) < 4 for parts in nodes):
+        raise MeshError(f"MSH $Nodes: expected {count} lines of 'id x y z'")
+    ids = _numbers(int, [parts[0] for parts in nodes], "MSH node ids")
+    coords = np.array(
+        _numbers(float, [x for parts in nodes for x in parts[1:4]], "MSH node coordinates")
+    ).reshape(count, 3)
+    renumber = {i: k for k, i in enumerate(ids)}
+    if len(renumber) != count:
+        raise MeshError("MSH $Nodes: duplicate node id")
     elem_lines = sections["Elements"]
-    ecount = int(elem_lines[0])
+    ecount = _count(elem_lines[0].split() if elem_lines else [], "MSH $Elements")
+    if len(elem_lines) < 1 + ecount:
+        raise MeshError(f"MSH $Elements: expected {ecount} element lines")
     tris, tets = [], []
     for line in elem_lines[1 : 1 + ecount]:
-        parts = [int(x) for x in line.split()]
+        parts = _numbers(int, line.split(), "MSH element")
+        if len(parts) < 3 or not 0 <= parts[2] <= len(parts) - 3:
+            raise MeshError(f"MSH element line too short: {line!r}")
         etype, ntags = parts[1], parts[2]
-        nodes = parts[3 + ntags :]
         if etype == _MSH_TRIANGLE:
-            tris.append(nodes)
+            tris.append(parts[3 + ntags :])
         elif etype == _MSH_TETRA:
-            tets.append(nodes)
+            tets.append(parts[3 + ntags :])
         elif etype == _MSH_LINE:
             continue
         else:
             logger.debug("ignoring MSH element type %d", etype)
+    try:
+        cells = np.array([[renumber[n] for n in t] for t in tets or tris], dtype=np.int64)
+    except KeyError as exc:
+        raise MeshError(f"MSH element refers to unknown node {exc.args[0]}") from None
+    except ValueError:
+        raise MeshError("MSH elements of one type have different vertex counts") from None
     if tets:
-        cells = np.array([[renumber[n] for n in t] for t in tets], dtype=np.int64)
         vertices = coords
     elif tris:
-        cells = np.array([[renumber[n] for n in t] for t in tris], dtype=np.int64)
         if np.any(coords[:, 2] != 0.0):
             raise MeshError("triangle mesh with nonzero z coordinates")
         vertices = coords[:, :2]
@@ -226,4 +256,11 @@ def read_gmsh(path: str | Path) -> SimplicialMesh:
         remap[used] = np.arange(len(used))
         vertices = vertices[used]
         cells = remap[cells]
-    return SimplicialMesh.from_cells(vertices, cells)
+    return _checked(vertices, cells)
+
+
+def _checked(vertices: np.ndarray, cells: np.ndarray) -> SimplicialMesh:
+    """The mesh of the read data, if it passes :meth:`SimplicialMesh.validate`."""
+    mesh = SimplicialMesh.from_cells(vertices, cells)
+    mesh.validate()
+    return mesh

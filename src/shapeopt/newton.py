@@ -463,12 +463,12 @@ class NewtonSystem:
     The system is solved by exact reduction onto the boundary force G.  The
     W row E W = N G makes every step a normal-force deformation W = Phi G
     with Phi = E^{-1} N.  Given G, the u and p rows are interior Poisson
-    solves and the (V, F, Pi) rows are the saddle [E N; N^T 0], solved
-    through Phi and the dense Cholesky factor of S = N^T Phi.  Everything is
+    solves and the (V, F, Pi) rows are the saddle [E N; N^T 0], solved by
+    the mesh's :func:`shapeopt.shape.restriction` (Phi and the Cholesky
+    factor of S = N^T Phi) that also gave the restricted gradient.  All is
     affine in G, so F = F0 + T G, where ``T`` = dF/dG is a dense nb x nb
     matrix; each positive real eigenvalue lambda of T puts a pole of the
-    step at alpha = 1/lambda.  The reduction reuses the mesh's elasticity
-    and Poisson factorizations and factorizes no sparse matrix.
+    step at alpha = 1/lambda.  Nothing is factorized here.
     """
 
     def __init__(
@@ -480,7 +480,7 @@ class NewtonSystem:
     ):
         self.mesh = mesh
         self.forms = LagrangianForms(mesh, data)
-        ops = shape.shape_operators(mesh, params)
+        restrict = self._restriction = shape.restriction(mesh, params)
         d = mesh.dim
         nd = mesh.num_vertices * d
         nb = len(mesh.boundary_vertices)
@@ -496,7 +496,7 @@ class NewtonSystem:
         de_v = d_elasticity(mesh, params, iterate.direction)
         dn_f = d_normal_force(mesh, iterate.force)
         dns_pi = d_normal_transpose(mesh, iterate.multiplier)
-        E, N = ops.elasticity, ops.normal_force
+        E, N = restrict.operators.elasticity, restrict.operators.normal_force
         self.sizes = {"W": nd, "G": nb, "u": ni, "p": ni, "V": nd, "F": nb, "Pi": nd}
         self.blocks = {
             ("W", "W"): E, ("W", "G"): -N,
@@ -519,34 +519,28 @@ class NewtonSystem:
             "Pi": E @ v_flat - N @ iterate.force,
         }
         b = self.blocks
-        self._elasticity = ops.elasticity_factor
         self._poisson = fem.poisson_workspace(mesh).factor
-        phi = self._phi = self._elasticity.solve(N.toarray())
-        self._schur = scipy.linalg.cho_factor(N.T @ phi)
+        phi = restrict.phi
         # G -> (u, p) -> (V, Pi) -> F, linearly; Phi^T = N^T E^{-1} as E is symmetric
         xky = (b["u", "W"] @ phi).T @ self._poisson.solve(b["p", "W"] @ phi)
         coupling = phi.T @ ((b["Pi", "W"] - b["V", "W"]) @ phi) - b["F", "W"] @ phi
-        self.T = scipy.linalg.cho_solve(self._schur, coupling + xky + xky.T)
+        self.T = scipy.linalg.cho_solve(restrict.schur, coupling + xky + xky.T)
         self._f0 = self._recover(np.zeros(nb))["F"]
 
     def _recover(self, g: np.ndarray) -> dict[str, np.ndarray]:
         """All solution blocks for the force update G, from every row but G's."""
         b = self.blocks
         r = {name: -vec for name, vec in self.residual.items()}
-        w = self._phi @ g  # the W row E W - N G = 0 has a zero residual
+        w = self._restriction.phi @ g  # the W row E W - N G = 0 has a zero residual
         p, u = self._poisson.solve(np.column_stack((
             r["u"] - b["u", "W"] @ w, r["p"] - b["p", "W"] @ w,
         ))).T
-        rhs_v = r["V"] - b["V", "W"] @ w - b["V", "u"] @ u - b["V", "p"] @ p
-        rhs_pi = r["Pi"] - b["Pi", "W"] @ w
-        z_pi, z_v = self._elasticity.solve(np.column_stack((rhs_pi, rhs_v))).T
-        # with V = z_pi + Phi F and Pi = z_v - V the F row reads
-        # S F = r_F + dns_pi W + N^T (z_v - z_pi)
-        f = scipy.linalg.cho_solve(
-            self._schur, r["F"] - b["F", "W"] @ w + b["F", "Pi"] @ (z_pi - z_v)
+        v, f, pi = self._restriction.solve(
+            a=r["V"] - b["V", "W"] @ w - b["V", "u"] @ u - b["V", "p"] @ p,
+            b=r["Pi"] - b["Pi", "W"] @ w,
+            c=r["F"] - b["F", "W"] @ w,
         )
-        v = z_pi + self._phi @ f
-        return {"W": w, "G": g, "u": u, "p": p, "V": v, "F": f, "Pi": z_v - v}
+        return {"W": w, "G": g, "u": u, "p": p, "V": v, "F": f, "Pi": pi}
 
     def solve(self, alpha: float) -> dict[str, np.ndarray]:
         """Solve the damped system; returns all solution blocks keyed by name.

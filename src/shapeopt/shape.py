@@ -4,19 +4,22 @@ The shape derivative of J = integral(u) is assembled in volume form against
 every piecewise-linear vector field.  Descent directions are measured in the
 inner product of a linear-elasticity operator with a zero-order damping term
 and no boundary conditions.  The restricted gradient is the part of the
-classical gradient reachable by normal boundary forces: it solves a saddle
-system whose unknowns are the boundary force density and a multiplier field.
+classical gradient reachable by normal boundary forces.  Such deformations
+are V = Phi F with Phi = E^{-1} N; each mesh keeps Phi and the Cholesky factor
+of S = N^T Phi (:func:`restriction`), which solve the projection saddle
+[E N; N^T 0] for the restricted gradient and for the Newton system alike.
 """
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import quadrature
 from .fem import DualVector, NodalField, reference_mass
-from .linalg import Factorization, BlockSystem, factorize, from_triplets
+from .linalg import Factorization, factorize, from_triplets
 from .mesh import (
     SimplicialMesh,
     boundary_measures,
@@ -176,15 +179,47 @@ class ShapeOperators:
 
     elasticity: sp.csr_matrix
     elasticity_factor: Factorization
-    normal_force: sp.csr_matrix
-    boundary: np.ndarray  # boundary vertex indices = column order of normal_force
+    normal_force: sp.csr_matrix  # columns ordered as mesh.boundary_vertices
 
 
 @per_mesh
 def shape_operators(mesh: SimplicialMesh, params: ElasticityParams) -> ShapeOperators:
     E = read_only(assemble_elasticity(mesh, params))
     N = read_only(assemble_normal_force(mesh))
-    return ShapeOperators(E, factorize(E), N, mesh.boundary_vertices)
+    return ShapeOperators(E, factorize(E), N)
+
+
+@dataclasses.dataclass(frozen=True)
+class Restriction:
+    """Normal-force deformations Phi = E^{-1} N and chol(S), S = N^T Phi."""
+
+    operators: ShapeOperators
+    phi: np.ndarray
+    schur: tuple
+
+    def solve(self, a: np.ndarray, b: np.ndarray | None = None, c: np.ndarray | None = None):
+        """(V, F, Pi) of E V - N F = b, E (V + Pi) = a, -N^T Pi = c; None is zero.
+
+        With z_a = E^{-1} a and z_b = E^{-1} b the first two rows give
+        V = z_b + Phi F and Pi = z_a - V, so the last is S F = c + N^T (z_a - z_b).
+        """
+        factor = self.operators.elasticity_factor
+        if b is None:
+            z_b, z_a = 0.0, factor.solve(a)
+        else:
+            z_b, z_a = factor.solve(np.column_stack((b, a))).T
+        rhs = self.operators.normal_force.T @ (z_a - z_b)
+        f = scipy.linalg.cho_solve(self.schur, rhs if c is None else c + rhs)
+        v = z_b + self.phi @ f
+        return v, f, z_a - v
+
+
+@per_mesh
+def restriction(mesh: SimplicialMesh, params: ElasticityParams) -> Restriction:
+    ops = shape_operators(mesh, params)
+    phi = read_only(ops.elasticity_factor.solve(ops.normal_force.toarray()))
+    factor, lower = scipy.linalg.cho_factor(ops.normal_force.T @ phi)
+    return Restriction(ops, phi, (read_only(factor), lower))
 
 
 def classical_gradient(
@@ -222,35 +257,16 @@ def restricted_gradient(
 ) -> RestrictedGradientResult:
     """Steepest-descent direction among deformations driven by normal forces.
 
-    Solves the reduced saddle system
-
-        [ 0   N^T ] [ F  ]   [  0  ]
-        [ N    E  ] [ Pi ] = [ -dJ ]
-
-    and returns V = classical - Pi, which satisfies E V = N F.  The returned
-    direction is the E-orthogonal projection of the classical gradient onto
-    the range of E^{-1} N.
+    The E-orthogonal projection of the classical gradient c_cl = E^{-1}(-dJ)
+    onto the range of Phi = E^{-1} N: :meth:`Restriction.solve` with a = -dJ
+    and b = c = 0 on the mesh's cached :func:`restriction`, so S F = N^T c_cl,
+    V = Phi F and Pi = c_cl - V.  V satisfies E V = N F.
     """
-    ops = shape_operators(mesh, params)
-    nb = ops.normal_force.shape[1]
-    nd = ops.elasticity.shape[0]
-    system = BlockSystem({"force": nb, "field": nd})
-    system.set_block("force", "field", ops.normal_force.T)
-    system.set_block("field", "force", ops.normal_force)
-    system.set_block("field", "field", ops.elasticity)
-    saddle = system.solve({"field": -derivative.coeffs.ravel()})
-    classical = ops.elasticity_factor.solve(-derivative.coeffs.ravel())
-    multiplier = saddle["field"]
-    direction = classical - multiplier
-    energy = float(direction @ (ops.elasticity @ direction))
-    shape2 = (mesh.num_vertices, mesh.dim)
-    return RestrictedGradientResult(
-        direction.reshape(shape2),
-        saddle["force"],
-        multiplier.reshape(shape2),
-        classical.reshape(shape2),
-        energy,
-    )
+    restrict = restriction(mesh, params)
+    direction, force, multiplier = restrict.solve(-derivative.coeffs.ravel())
+    energy = float(direction @ (restrict.operators.elasticity @ direction))
+    v, pi = (x.reshape(mesh.num_vertices, mesh.dim) for x in (direction, multiplier))
+    return RestrictedGradientResult(v, force, pi, v + pi, energy)
 
 
 def ssw_direction(
@@ -270,15 +286,3 @@ def ssw_direction(
     masked[mesh.boundary_vertices] = 0.0
     v = ops.elasticity_factor.solve(-masked.ravel())
     return NodalField(v.reshape(mesh.num_vertices, mesh.dim))
-
-
-def stationarity_residual(mesh: SimplicialMesh, classical: NodalField | np.ndarray) -> float:
-    """Norm of N^T applied to the classical gradient.
-
-    Vanishes exactly when the classical gradient is tangential to the
-    boundary in the weak sense, i.e. when the mesh is stationary for the
-    restricted dynamics.
-    """
-    values = classical.values if isinstance(classical, NodalField) else classical
-    return float(np.linalg.norm(assemble_normal_force(mesh).T @ values.ravel()))
-

@@ -82,6 +82,8 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path):
     ("newton", "max_iterations = -1"),
     ("elasticity", "young = nan"),
     ("elasticity", "damping = inf"),
+    ("problem", "radius = nan"),
+    ("problem", "side = inf"),
 ])
 def test_non_finite_or_unordered_settings_exit_2(tmp_path, section, setting):
     path = tmp_path / "bad.ini"
@@ -163,6 +165,20 @@ def test_degenerate_custom_mesh_exits_5(tmp_path):
     config_path.write_text(
         f"[problem]\nkind = custom\nmesh_file = {bad}\n"
     )
+    code = cli.main(["run", "--config", str(config_path), "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_DEGENERATE
+
+
+def test_unreadable_custom_mesh_exits_5(tmp_path):
+    bad = tmp_path / "bad.vtk"
+    bad.write_text(
+        "# vtk DataFile Version 3.0\nbad\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        "POINTS 3 double\n0 0 0\n1 abc 0\n0 1 0\n"
+        "CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
+    )
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(f"[problem]\nkind = custom\nmesh_file = {bad}\n")
     code = cli.main(["run", "--config", str(config_path), "--out",
                      str(tmp_path / "out")])
     assert code == cli.EXIT_DEGENERATE

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from shapeopt import fem
 from shapeopt.mesh import SimplicialMesh, apply_deformation, drop_derived, generate_disk_mesh
 from shapeopt.problems import ProblemData, benchmark_load_2d
-from shapeopt.shape import ElasticityParams, shape_operators
+from shapeopt.shape import ElasticityParams, restriction, shape_operators
 from conftest import random_deformation
 
 
@@ -149,10 +149,13 @@ def test_per_mesh_data_is_computed_once_and_read_only(disk0, data2d, rng):
     geo = fem.cell_geometry(disk0)
     ws = fem.poisson_workspace(disk0)
     ops = shape_operators(disk0, ElasticityParams())
+    restrict = restriction(disk0, ElasticityParams())
     assert fem.cell_geometry(disk0) is geo
     assert fem.poisson_workspace(disk0) is ws
     assert shape_operators(disk0, ElasticityParams()) is ops
-    arrays = [geo.volumes, geo.grads, ws.interior]
+    assert restriction(disk0, ElasticityParams()) is restrict
+    assert restrict.operators is ops
+    arrays = [geo.volumes, geo.grads, ws.interior, restrict.phi, restrict.schur[0]]
     for matrix in (ws.stiffness, ops.elasticity, ops.normal_force):
         arrays += [matrix.data, matrix.indices, matrix.indptr]
     for array in arrays:

@@ -1,9 +1,11 @@
 """Mesh exchange: VTK write/read round trips and the Gmsh reader."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from shapeopt.mesh import MeshError
+from shapeopt.mesh import MeshError, generate_disk_mesh
 from shapeopt.meshio import read_gmsh, read_vtk, write_vtk
 
 
@@ -139,3 +141,56 @@ def test_gmsh_to_vtk_round_trip(tmp_path):
     back, _ = read_vtk(target)
     assert_allclose(back.vertices, mesh.vertices, rtol=0.0, atol=0.0)
     assert np.array_equal(back.cells, mesh.cells)
+
+
+@pytest.fixture(scope="module")
+def disk0_vtk(tmp_path_factory):
+    """Header lines and body tokens of a written disk0 VTK, and a scratch path."""
+    path = tmp_path_factory.mktemp("vtk") / "disk0.vtk"
+    write_vtk(generate_disk_mesh(1.0, 0), path)
+    lines = path.read_text().splitlines()
+    return lines[:3], " ".join(lines[3:]).split(), path
+
+
+GARBAGE = ["abc", "nan", "inf", "1e999", "-1", "0", "2", "3.5", "5", "10", "999999", "CELLS"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_vtk_reads_to_a_valid_mesh_or_raises_mesh_error(disk0_vtk, data):
+    """Replace, drop, insert or cut off at one token: the reader either returns
+    a mesh that passes ``validate()`` or raises MeshError, never another error."""
+    header, tokens, path = disk0_vtk
+    where = data.draw(st.integers(0, len(tokens) - 1))
+    edit = data.draw(st.sampled_from(["replace", "drop", "insert", "truncate"]))
+    word = data.draw(st.sampled_from(GARBAGE))
+    corrupted = {
+        "replace": tokens[:where] + [word] + tokens[where + 1:],
+        "drop": tokens[:where] + tokens[where + 1:],
+        "insert": tokens[:where] + [word] + tokens[where:],
+        "truncate": tokens[:where],
+    }[edit]
+    path.write_text("\n".join(header + [" ".join(corrupted)]) + "\n")
+    try:
+        mesh, _ = read_vtk(path)
+    except MeshError:
+        return
+    mesh.validate()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("20 1.0 0.0 0.0", "20 1.0 abc 0.0"),     # non-numeric coordinate
+    ("20 1.0 0.0 0.0", "20 1.0 0.0"),         # missing coordinate
+    ("$Nodes\n5", "$Nodes\nfive"),            # non-numeric count
+    ("5\n1 1 2", "5\none 1 2"),               # non-numeric element id
+    ("3 2 2 0 1 20 40 30", "3 2 2 0 1 20 41 30"),  # unknown node id
+    ("3 2 2 0 1 20 40 30", "3 2 2 0 1 20 40"),     # missing vertex
+    ("3 2 2 0 1 20 40 30", "3 2 9 0 1 20 40 30"),  # more tags than tokens
+    ("40 1.0 1.0 0.0", "10 1.0 1.0 0.0"),     # duplicate node id
+])
+def test_gmsh_rejects_malformed_tokens(tmp_path, old, new):
+    assert old in GMSH_TRIANGLES
+    path = tmp_path / "bad.msh"
+    path.write_text(GMSH_TRIANGLES.replace(old, new, 1))
+    with pytest.raises(MeshError):
+        read_gmsh(path)

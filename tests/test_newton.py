@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from shapeopt import fem, linalg, shape
 from shapeopt.descent import CONVERGED, LINE_SEARCH_FAILURE, LineSearchConfig
 from shapeopt.linalg import BlockSystem, factorize
+from shapeopt.mesh import apply_deformation, generate_cube_mesh, generate_disk_mesh
 from shapeopt.newton import (
     LagrangianForms,
     NewtonConfig,
@@ -21,6 +22,7 @@ from shapeopt.newton import (
     pulled_back_normal_transpose_apply,
     restricted_newton,
 )
+from shapeopt.problems import benchmark_load_2d, benchmark_load_3d
 from conftest import random_deformation
 
 
@@ -59,7 +61,6 @@ def test_lagrangian_at_zero_equals_objective(disk0, data2d):
 def test_lagrangian_value_matches_deformed_mesh(disk0, data2d, rng):
     """Pullback exactness: L(W, u, p) equals the Lagrangian assembled on
     the deformed mesh with the transported nodal values."""
-    from shapeopt.mesh import apply_deformation
     u, p = solved(disk0, data2d)
     w = random_deformation(disk0, rng, scale=0.04)
     forms = LagrangianForms(disk0, data2d)
@@ -192,8 +193,15 @@ def test_reduced_step_matches_monolithic_oracle(name, request, params):
         assert w_err <= 1e-9, f"alpha={alpha:g}: W differs by {w_err:.3e}"
 
 
-def test_newton_system_factorizes_nothing(disk0, data2d, params, monkeypatch):
-    it = prepare_iterate(disk0, data2d, params)
+@pytest.mark.parametrize("name", ["disk0", "cube2"])
+def test_newton_system_factorizes_nothing(name, params, monkeypatch):
+    """A Newton iteration start factorizes the interior Poisson matrix K and
+    the elasticity E; the restriction, the system and its solves reuse them."""
+    # a new mesh, so that no factor is memoized on it yet
+    if name == "disk0":
+        mesh, data = generate_disk_mesh(1.0, 0), benchmark_load_2d()
+    else:
+        mesh, data = generate_cube_mesh(2.0, 2), benchmark_load_3d()
     calls = []
     init = linalg.Factorization.__init__
 
@@ -202,17 +210,38 @@ def test_newton_system_factorizes_nothing(disk0, data2d, params, monkeypatch):
         init(self, matrix)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", counted)
-    system = NewtonSystem(disk0, data2d, params, it.state)
+    it = prepare_iterate(mesh, data, params)
+    ni, nd = len(fem.interior_vertices(mesh)), mesh.num_vertices * mesh.dim
+    assert calls == [(ni, ni), (nd, nd)]
+    system = NewtonSystem(mesh, data, params, it.state)
     for alpha in (0.1, 1.0, 10.0):
         system.solve(alpha)
-    assert calls == []
+    assert calls == [(ni, ni), (nd, nd)]
+
+
+@pytest.mark.parametrize("name", ["disk0", "cube2"])
+def test_force_response_is_the_derivative_of_the_restricted_force(name, request, params):
+    """T = dF/dG: moving the mesh by +-h Phi g changes the restricted-gradient
+    force F by +-h T g, up to O(h^2)."""
+    mesh = request.getfixturevalue(name)
+    data = request.getfixturevalue("data2d" if mesh.dim == 2 else "data3d")
+    g = np.random.default_rng(0).standard_normal(len(mesh.boundary_vertices))
+    system = NewtonSystem(mesh, data, params, prepare_iterate(mesh, data, params).state)
+    w = (shape.restriction(mesh, params).phi @ g).reshape(mesh.num_vertices, mesh.dim)
+
+    def force(h):
+        return prepare_iterate(apply_deformation(mesh, w, h), data, params).state.force
+
+    h = 1e-5
+    fd = (force(h) - force(-h)) / (2.0 * h)
+    expected = system.T @ g
+    rel = np.linalg.norm(fd - expected) / np.linalg.norm(expected)
+    assert rel <= 1e-6, f"{name}: rel={rel:.3e}"
 
 
 def test_force_response_poles_vanish_at_the_converged_disk(data2d, params):
     """T = dF/dG has positive eigenvalues at the start of the disk0 run, which
     cap the damping, and none on the converged mesh."""
-    from shapeopt.mesh import generate_disk_mesh
-
     mesh = generate_disk_mesh(1.0, 0)
 
     def spectrum(m):
