@@ -13,7 +13,24 @@ Modules: ``mesh`` (simplicial meshes, quality, deformation), ``quadrature``
 restricted gradient), ``descent`` (line-search loops), ``newton`` (coupled
 second-order system), ``linalg`` (sparse solves, block systems), ``meshio``
 (Gmsh/VTK exchange), ``cli`` (experiment driver).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1 when none of them is set: the BLAS calls here are
+small, so more threads only add fork/join cost, and a run's floating-point
+results depend on the thread count.  The default takes effect only when
+``shapeopt`` is imported before numpy and scipy, as the ``shapeopt`` command
+does; a thread variable set by the user always wins.
 """
+import os
+
+# Before the first import that loads numpy or scipy: OpenBLAS reads these once,
+# when the library loads.  Its kernels here are nb-column SuperLU solves and
+# dense nb x nb products (nb <= a few hundred), where a second thread costs
+# more than it saves, and its spinning worker slows numpy code between calls.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .descent import (
     LineSearchConfig,
     RunRecord,

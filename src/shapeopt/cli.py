@@ -316,7 +316,11 @@ print(f"wrote {out}")
 
 
 def _write_summary(config: ExperimentConfig, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+    # The results' last digits depend on the BLAS thread count (see __init__);
+    # OpenBLAS falls back to OMP_NUM_THREADS when its own variable is unset.
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS")
+               or os.environ.get("OMP_NUM_THREADS") or "default")
+    text = "\n".join([*lines, f"blas_threads: {threads}"]) + "\n"
     (config.out_dir / "summary.txt").write_text(text)
     (config.out_dir / "plot_history.py").write_text(_PLOT_SCRIPT)
 
@@ -409,12 +413,10 @@ def compare(configs: list[ExperimentConfig], out_dir: str | Path) -> int:
     if any(c.method == "spurious-sweep" for c in configs):
         raise ConfigError("compare works on per-iteration methods, not the sweep")
     out_dir = Path(out_dir)
-    labels: list[str] = []
-    for config in configs:
-        label = config.method
-        if label in labels:
-            label = f"{label}-{labels.count(label) + 1}"
-        labels.append(label)
+    methods = [c.method for c in configs]
+    labels = [f"{m}-{methods[:i].count(m) + 1}" if m in methods[:i] else m
+              for i, m in enumerate(methods)]
+    for config, label in zip(configs, labels):
         config.out_dir = out_dir / label
         status = run(config)
         if status not in (EXIT_OK, EXIT_NO_CONVERGENCE):

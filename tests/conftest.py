@@ -1,4 +1,6 @@
 """Shared fixtures: benchmark meshes, problem data, seeded RNG."""
+import shapeopt  # noqa: F401  (before numpy, so its one-BLAS-thread default applies)
+
 import numpy as np
 import pytest
 

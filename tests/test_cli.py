@@ -1,4 +1,5 @@
 """Experiment driver: presets, config parsing, artifacts, exit codes."""
+import json
 import os
 import subprocess
 import sys
@@ -224,6 +225,24 @@ def test_compare_merges_histories(tmp_path):
     assert lines[-1].split(",")[1] == ""
 
 
+def test_compare_labels_every_repeat_of_a_method(tmp_path):
+    configs = []
+    for iterations in (1, 2, 3):
+        path = tmp_path / f"{iterations}.ini"
+        path.write_text("[problem]\nkind = paper2d\n[method]\nname = restricted-gradient\n"
+                        f"[line_search]\nmax_iterations = {iterations}\n")
+        configs += ["--config", str(path)]
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", *configs, "--out", str(out)]) == cli.EXIT_OK
+    labels = ["restricted-gradient", "restricted-gradient-2", "restricted-gradient-3"]
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == labels
+    rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()]
+    assert rows[0] == ["iter"] + [f"{key}_{label}" for label in labels
+                                  for key in ("J", "grad_energy")]
+    lengths = [sum(1 for row in rows[1:] if row[column]) for column in range(7)]
+    assert lengths == [4, 2, 2, 3, 3, 4, 4]  # iterations + 1 rows per run
+
+
 def test_compare_rejects_mismatched_problems(tmp_path):
     a = tmp_path / "a.ini"
     a.write_text("[problem]\nkind = paper2d\n")
@@ -251,3 +270,39 @@ def test_log_verbosity_from_environment(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == cli.EXIT_NO_CONVERGENCE
     assert "INFO" in result.stderr  # info-level records are emitted
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def environment(**settings) -> dict:
+    """This process's environment without BLAS thread variables, plus ``settings``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(settings)
+    return env
+
+
+@pytest.mark.parametrize("settings, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+    ({"OMP_NUM_THREADS": "3"},
+     {"OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}),
+])
+def test_import_sets_one_blas_thread_unless_the_user_chose(settings, expected):
+    script = ("import json, os, shapeopt; "
+              f"print(json.dumps({{name: os.environ.get(name) for name in {BLAS_THREAD_VARS}}}))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=environment(**settings), check=True)
+    assert json.loads(result.stdout) == expected
+
+
+def test_history_does_not_depend_on_the_blas_thread_default(tmp_path):
+    histories = []
+    for name, settings in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "shapeopt.cli", "run", "--preset",
+                        "paper2d-newton, level 1", "--out", str(out)],
+                       env=environment(**settings), check=True)
+        histories.append((out / "history.csv").read_bytes())
+    assert histories[0] == histories[1]
+    for name in ("unset", "one"):
+        assert "blas_threads: 1\n" in (tmp_path / name / "summary.txt").read_text()

@@ -1,6 +1,8 @@
 """Mesh data structure, quality measures, deformation, and generators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from shapeopt.mesh import (
@@ -163,6 +165,30 @@ def test_quality_check_frobenius_bound():
     assert_allclose(report.determinants, 1.21, rtol=1e-12)
     assert report.passed
     assert not quality_check(mesh, field, 0.3).passed  # frobenius exceeds 0.3
+
+
+@pytest.mark.parametrize("name", ["disk0", "cube2"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(1e-4, 1.0),
+       det_lo=st.floats(0.1, 0.95), det_hi=st.floats(1.05, 4.0),
+       frob_max=st.floats(0.05, 1.5))
+def test_a_step_that_passes_the_safeguards_gives_a_valid_mesh(
+    disk0, cube2, name, seed, alpha, det_lo, det_hi, frob_max
+):
+    """The safeguard invariant: a step that passes ``quality_check`` moves the
+    mesh to one that is valid, keeps its connectivity and scales every cell's
+    volume by a factor within [det_lo, det_hi]."""
+    mesh = {"disk0": disk0, "cube2": cube2}[name]
+    field = random_deformation(mesh, np.random.default_rng(seed), scale=0.1)
+    if not quality_check(mesh, field, alpha, det_lo, det_hi, frob_max).passed:
+        return
+    moved = apply_deformation(mesh, field, alpha)
+    moved.validate()
+    assert np.array_equal(moved.cells, mesh.cells)
+    assert np.array_equal(moved.boundary_facets, mesh.boundary_facets)
+    ratios = signed_volumes(moved) / signed_volumes(mesh)
+    assert ratios.min() >= det_lo * (1.0 - 1e-12)
+    assert ratios.max() <= det_hi * (1.0 + 1e-12)
 
 
 def test_apply_deformation_moves_vertices(disk0):
