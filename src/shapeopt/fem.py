@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .linalg import Factorization, factorize, from_triplets
-from .mesh import SimplicialMesh, cell_geometry, per_mesh, read_only
+from .linalg import CsrPattern, Factorization, factorize
+from .mesh import SimplicialMesh, cell_geometry, per_mesh, per_topology, read_only
 from .problems import ProblemData
 
 
@@ -48,7 +48,7 @@ class DualVector:
         return float(np.sum(self.coeffs * values))
 
 
-@per_mesh
+@per_topology
 def interior_vertices(mesh: SimplicialMesh) -> np.ndarray:
     """Sorted indices of vertices not on the boundary."""
     mask = np.ones(mesh.num_vertices, dtype=bool)
@@ -56,13 +56,22 @@ def interior_vertices(mesh: SimplicialMesh) -> np.ndarray:
     return read_only(np.flatnonzero(mask))
 
 
+@per_topology
+def _scalar_pattern(mesh: SimplicialMesh) -> CsrPattern:
+    nv = mesh.num_vertices
+    return CsrPattern(nv, nv, mesh.cells[:, :, None], mesh.cells[:, None, :])
+
+
 def _scatter_cell_matrix(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Assemble per-cell (d+1)x(d+1) matrices into a (nv, nv) CSR matrix."""
-    cells = mesh.cells
-    npc = cells.shape[1]
-    rows = np.repeat(cells, npc, axis=1).ravel()
-    cols = np.tile(cells, (1, npc)).ravel()
-    return from_triplets(mesh.num_vertices, mesh.num_vertices, rows, cols, local.ravel())
+    """Assemble per-cell (d+1)x(d+1) matrices into the mesh's (nv, nv) CSR pattern."""
+    return _scalar_pattern(mesh).fill(local)
+
+
+@per_mesh
+def quadrature_points(mesh: SimplicialMesh) -> np.ndarray:
+    """Physical points of the degree-5 rule in every cell, (nc, nq, d)."""
+    bary, _ = quadrature.simplex_rule(mesh.dim)
+    return read_only(quadrature.physical_points(bary, mesh.vertices[mesh.cells]))
 
 
 def assemble_stiffness(mesh: SimplicialMesh) -> sp.csr_matrix:
@@ -89,22 +98,16 @@ def assemble_load(mesh: SimplicialMesh, data: ProblemData) -> np.ndarray:
     """Load vector b_i = integral(f * hat_i) over the mesh, shape (nv,)."""
     geo = cell_geometry(mesh)
     bary, weights = quadrature.simplex_rule(mesh.dim)
-    points = quadrature.physical_points(bary, mesh.vertices[mesh.cells])
-    fvals = data.f(points)  # (nc, nq)
+    fvals = data.f(quadrature_points(mesh))  # (nc, nq)
     # hat_i at quadrature point q is bary[q, i]
-    contrib = np.einsum("c,cq,q,qi->ci", geo.volumes, fvals, weights, bary)
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells.ravel(), contrib.ravel())
-    return out
+    contrib = geo.volumes[:, None] * (fvals @ (weights[:, None] * bary))
+    return np.bincount(mesh.cells.ravel(), contrib.ravel(), minlength=mesh.num_vertices)
 
 
 def assemble_unit_load(mesh: SimplicialMesh) -> np.ndarray:
     """Vector with entries integral(hat_i) = sum of vol/(d+1) over incident cells."""
-    geo = cell_geometry(mesh)
-    contrib = np.repeat(geo.volumes[:, None] / (mesh.dim + 1), mesh.dim + 1, axis=1)
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells.ravel(), contrib.ravel())
-    return out
+    contrib = np.repeat(cell_geometry(mesh).volumes / (mesh.dim + 1), mesh.dim + 1)
+    return np.bincount(mesh.cells.ravel(), contrib, minlength=mesh.num_vertices)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Sparse linear algebra used by the assembly and solver layers.
 
 Thin wrappers around scipy.sparse: triplet assembly with duplicate summing,
-reusable LU factorizations (SuperLU), and named block systems.  Everything
-is deterministic: fixed orderings, no randomized pivoting.
+fixed CSR patterns filled by ``np.bincount``, reusable LU factorizations
+(SuperLU), and named block systems.  Everything is deterministic: fixed
+orderings, no randomized pivoting.
 """
 from __future__ import annotations
 
@@ -30,6 +31,38 @@ def from_triplets(
     return sp.coo_matrix(
         (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(nrows, ncols)
     ).tocsr()
+
+
+class CsrPattern:
+    """Fixed CSR sparsity pattern and the slot each assembled entry adds to.
+
+    Built once from the row and column of every entry of the flattened cell
+    tensors; :meth:`fill` then sums a tensor of values into the pattern with
+    one ``np.bincount``, with no sort.  Entries in a negative row are left
+    out of the matrix (they go to a spare slot past the last nonzero).
+    """
+
+    def __init__(self, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray):
+        rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+        keys = rows.ravel().astype(np.int64) * ncols + cols.ravel()
+        keep = keys >= 0
+        nonzeros, slots = np.unique(keys[keep], return_inverse=True)
+        self.slots = np.full(len(keys), len(nonzeros))
+        self.slots[keep] = slots
+        indptr = np.searchsorted(nonzeros, np.arange(nrows + 1) * ncols)
+        template = sp.csr_matrix(
+            (np.zeros(len(nonzeros)), nonzeros % ncols, indptr), shape=(nrows, ncols)
+        )
+        self.indices, self.indptr = template.indices, template.indptr
+        for array in (self.slots, self.indices, self.indptr):
+            array.setflags(write=False)
+        self.shape = (nrows, ncols)
+
+    def fill(self, values: np.ndarray) -> sp.csr_matrix:
+        """The matrix holding the sum of the ``values`` that land in each slot."""
+        nnz = len(self.indices)
+        data = np.bincount(self.slots, weights=values.ravel(), minlength=nnz + 1)
+        return sp.csr_matrix((data[:nnz], self.indices, self.indptr), shape=self.shape)
 
 
 def _structural_defect(matrix: sp.csr_matrix) -> int | None:

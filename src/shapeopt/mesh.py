@@ -5,7 +5,9 @@ connectivity.  Boundary facets are stored explicitly with the orientation
 induced by their owning cell, so outward normals can be computed without
 sign searches.  Meshes are immutable; deformation produces a new mesh.
 Data derived from a mesh (hat gradients, facet owners, factorizations) is
-computed on first use and kept with that mesh; see :func:`per_mesh`.
+computed on first use and kept with that mesh; see :func:`per_mesh`.  Data
+that depends only on the connectivity (sparsity patterns, interior vertices)
+is shared with every mesh a deformation moves it to; see :func:`per_topology`.
 """
 from __future__ import annotations
 
@@ -69,8 +71,8 @@ class SimplicialMesh:
             object.__setattr__(self, name, arr)
 
     def __getstate__(self) -> dict:
-        # the per_mesh memo is rebuilt on demand and holds unpicklable factors
-        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
+        # the memos are rebuilt on demand, and the per_mesh one holds unpicklable factors
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
 
     @property
     def dim(self) -> int:
@@ -158,18 +160,13 @@ def signed_volumes(mesh: SimplicialMesh) -> np.ndarray:
     return _signed_volumes(mesh.vertices, mesh.cells)
 
 
-def per_mesh(build):
-    """Run ``build(mesh, *args)`` once per mesh and argument tuple.
+_MEMOS = ("_derived", "_topology")
 
-    The result is kept in the mesh's own memo for as long as the mesh lives.
-    Meshes are immutable, so derived data never goes stale, and a deformed
-    mesh is a new object that starts with an empty memo.  Results are shared
-    between callers, so builders return read-only arrays.
-    """
 
+def _memoized(slot: str, build):
     @wraps(build)
     def derived(mesh: SimplicialMesh, *args):
-        memo = mesh.__dict__.setdefault("_derived", {})
+        memo = mesh.__dict__.setdefault(slot, {})
         key = (build, *args)
         if key not in memo:
             memo[key] = build(mesh, *args)
@@ -178,13 +175,39 @@ def per_mesh(build):
     return derived
 
 
+def per_mesh(build):
+    """Run ``build(mesh, *args)`` once per mesh and argument tuple.
+
+    The result is kept in the mesh's own memo for as long as the mesh lives.
+    Meshes are immutable, so derived data never goes stale, and a deformed
+    mesh is a new object that starts with an empty memo.  Results are shared
+    between callers, so builders return read-only arrays.
+    """
+    return _memoized("_derived", build)
+
+
+def per_topology(build):
+    """Run ``build(mesh, *args)`` once per connectivity and argument tuple.
+
+    For builders that read only ``cells`` and ``boundary_facets``, such as
+    sparsity patterns.  :func:`apply_deformation` hands the memo to the moved
+    mesh, so a run that only moves vertices builds each result once, and the
+    memo dies with the last mesh that shares it.  A mesh made any other way
+    (``from_cells``, a reader) starts with its own.  Builders return
+    read-only arrays.
+    """
+    return _memoized("_topology", build)
+
+
 def drop_derived(mesh: SimplicialMesh) -> None:
     """Free the data memoized on ``mesh``; it is rebuilt if asked for again.
 
     The optimization loops call this on each mesh they leave, so its
     factorizations do not stay alive with a mesh the caller still holds.
+    A moved mesh keeps its own reference to the shared per-topology memo.
     """
-    mesh.__dict__.pop("_derived", None)
+    for slot in _MEMOS:
+        mesh.__dict__.pop(slot, None)
 
 
 def read_only(array):
@@ -381,6 +404,7 @@ def apply_deformation(
 ) -> SimplicialMesh:
     """Move every vertex by ``alpha * field`` keeping the connectivity.
 
+    The moved mesh shares the :func:`per_topology` memo of ``mesh``.
     Raises :class:`DegenerateMeshError` if the moved mesh has a cell with
     non-positive signed volume.
     """
@@ -390,6 +414,7 @@ def apply_deformation(
             f"deformation field shape {field.shape} != vertices {mesh.vertices.shape}"
         )
     moved = SimplicialMesh(mesh.vertices + alpha * field, mesh.cells, mesh.boundary_facets)
+    moved.__dict__["_topology"] = mesh.__dict__.setdefault("_topology", {})
     cell_geometry(moved)  # checks the volumes, and the moved mesh keeps the result
     return moved
 

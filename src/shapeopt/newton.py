@@ -19,7 +19,13 @@ the system is solved exactly in G: one dense nb x nb solve per damping value
 
 All second derivatives are exact: the quadrature integrates every term of the
 polynomial benchmark loads without error, so the Jacobian blocks match finite
-differences of the first derivatives to discretization-free accuracy.
+differences of the first derivatives to discretization-free accuracy.  Each
+cell tensor, such as [c, j, a, k, m] of ``d2_ww``, is a sum of a few
+broadcast outer products of per-cell factors, one group per index pattern
+((j,a)(k,m), (j,m)(k,a) or (j,k)(a,m)); the quadrature sums are taken before
+any product.  The tensors are summed into a fixed CSR pattern with one
+``np.bincount``; the pattern is built once per connectivity and shared by
+every mesh of a run (:func:`shapeopt.mesh.per_topology`).
 """
 from __future__ import annotations
 
@@ -32,8 +38,14 @@ import scipy.sparse as sp
 
 from . import fem, quadrature, shape
 from .descent import Iterate, LineSearchConfig, RunRecord, optimize
-from .linalg import from_triplets
-from .mesh import SimplicialMesh, boundary_normals, deformation_gradients, facet_owner_cells
+from .linalg import CsrPattern, from_triplets
+from .mesh import (
+    SimplicialMesh,
+    boundary_normals,
+    deformation_gradients,
+    facet_owner_cells,
+    per_topology,
+)
 from .problems import ProblemData
 
 
@@ -53,6 +65,7 @@ class NewtonIterate:
 
     u: np.ndarray           # state values, all vertices (zero on boundary)
     p: np.ndarray           # adjoint values, all vertices
+    derivative: np.ndarray  # shape derivative dJ = d_w at W = 0, (nv, dim)
     direction: np.ndarray   # restricted gradient V, (nv, dim)
     force: np.ndarray       # boundary force F, (n_boundary,)
     multiplier: np.ndarray  # saddle multiplier Pi, (nv, dim)
@@ -72,7 +85,10 @@ class LagrangianForms:
         self.geometry = fem.cell_geometry(mesh)
         self.interior = fem.interior_vertices(mesh)
         self.bary, self.weights = quadrature.simplex_rule(mesh.dim)
-        self.points = quadrature.physical_points(self.bary, mesh.vertices[mesh.cells])
+        self.points = fem.quadrature_points(mesh)
+        # hat_j hat_k at each quadrature point, (nq, (d+1)**2)
+        pairs = self.bary[:, :, None] * self.bary[:, None, :]
+        self._hat_pairs = pairs.reshape(len(self.bary), -1)
 
     # -- helpers -------------------------------------------------------------
 
@@ -199,83 +215,93 @@ class LagrangianForms:
     def _mixed_block(
         self, grad_field: np.ndarray, with_volume: bool, with_load: bool
     ) -> sp.csr_matrix:
+        """Cell blocks [c, i, k, m] as outer products in (i)(k,m), (i,m)(k), (i,k)(m)."""
         mesh = self.mesh
-        d = mesh.dim
         vols = self.geometry.volumes
         G = self.geometry.grads
-        gb = np.einsum("cid,cd->ci", G, grad_field)
-        gg = np.einsum("cid,ckd->cik", G, G)
-        entries = np.zeros((mesh.num_cells, d + 1, d + 1, d))
-        if with_volume:
-            entries += np.einsum("c,ckm->ckm", vols, G)[:, None, :, :] / (d + 1)
-        entries += np.einsum("c,ckm,ci->cikm", vols, G, gb)
-        entries -= np.einsum("c,cim,ck->cikm", vols, G, gb)
-        entries -= np.einsum("c,cik,cm->cikm", vols, gg, grad_field)
+        vgb = vols[:, None] * np.einsum("cid,cd->ci", G, grad_field)
+        vgg = vols[:, None, None] * np.einsum("cid,ckd->cik", G, G)
+        first = vgb + vols[:, None] / (mesh.dim + 1) if with_volume else vgb
+        pair = vgg[:, :, :, None] * grad_field[:, None, None, :]
         if with_load:
-            # subtract int( grad_f_m hat_k hat_i + f hat_i g_km )
-            fq = self.data.f(self.points)
-            gq = self.data.grad_f(self.points)
-            entries -= np.einsum(
-                "c,q,cqm,qk,qi->cikm", vols, self.weights, gq, self.bary, self.bary
-            )
-            entries -= np.einsum(
-                "c,q,cq,qi,ckm->cikm", vols, self.weights, fq, self.bary, G
-            )
-        # scatter: rows interior scalar dofs, cols vector dofs
-        interior_pos = -np.ones(mesh.num_vertices, dtype=np.int64)
-        interior_pos[self.interior] = np.arange(len(self.interior))
-        rows = np.broadcast_to(
-            interior_pos[mesh.cells][:, :, None, None], entries.shape
-        )
-        cols = np.broadcast_to(
-            (mesh.cells[:, :, None] * d + np.arange(d))[:, None, :, :], entries.shape
-        )
-        keep = rows >= 0
-        return from_triplets(
-            len(self.interior), mesh.num_vertices * d,
-            rows[keep], cols[keep], entries[keep],
-        )
+            # subtract int( grad_f_m hat_k hat_i + f hat_i g_km ), quadrature first
+            wv = vols[:, None] * self.weights
+            first = first - (wv * self.data.f(self.points)) @ self.bary
+            grad_load = self._hat_pairs.T @ (wv[:, :, None] * self.data.grad_f(self.points))
+            pair = pair + grad_load.reshape(pair.shape)
+        entries = first[:, :, None, None] * G[:, None, :, :]
+        entries -= G[:, :, None, :] * vgb[:, None, :, None]
+        entries -= pair
+        return _mixed_pattern(mesh).fill(entries)
 
     def d2_ww(self, u: np.ndarray, p: np.ndarray) -> sp.csr_matrix:
-        """Pure deformation block d2L/dW2 at W=0, shape (nv*dim, nv*dim)."""
+        """Pure deformation block d2L/dW2 at W=0, shape (nv*dim, nv*dim).
+
+        With a = grad u, b = grad p and the load's quadrature sums taken
+        first, the cell block [c, j, a, k, m] is
+
+            R (x) g + g (x) R     in the pattern (j,a)(k,m),
+            Y (x) g + g (x) Y     in the pattern (j,m)(k,a),
+            vol (g_j.g_k) (a (x) b + b (x) a) - H     in (j,k)(a,m),
+
+        where Y_ja = vol ((g_j.b) a_a + (g_j.a) b_a) - s g_ja / 2 with
+        s = vol (ubar + a.b) - int f p, R = -Y - int p grad_f_a hat_j, and H the
+        load's second derivative int p hess_f hat_j hat_k.
+        """
         mesh = self.mesh
+        nc, d = mesh.num_cells, mesh.dim
         vols = self.geometry.volumes
         G = self.geometry.grads
         a = self._field_grads(u)
         b = self._field_grads(p)
-        ga = np.einsum("cid,cd->ci", G, a)
-        gb = np.einsum("cid,cd->ci", G, b)
-        gg = np.einsum("cid,ckd->cik", G, G)
-        adotb = np.einsum("cd,cd->c", a, b)
-        ubar = u[mesh.cells].mean(axis=1)
-        ein = np.einsum
-        local = ein("c,ca,cjm,ck->cjakm", vols, a, G, gb)
-        local += ein("c,cm,cka,cj->cjakm", vols, a, G, gb)
-        local += ein("c,cm,ckj,ca->cjakm", vols, a, gg, b)
-        local += ein("c,ca,cjk,cm->cjakm", vols, a, gg, b)
-        local += ein("c,cka,cj,cm->cjakm", vols, G, ga, b)
-        local += ein("c,cjm,ck,ca->cjakm", vols, G, ga, b)
-        local -= ein("c,cja,cm,ck->cjakm", vols, G, a, gb)
-        local -= ein("c,cja,ck,cm->cjakm", vols, G, ga, b)
-        local -= ein("c,ckm,ca,cj->cjakm", vols, G, a, gb)
-        local -= ein("c,ckm,cj,ca->cjakm", vols, G, ga, b)
-        local += ein("c,cja,ckm->cjakm", vols * adotb, G, G)
-        local -= ein("c,cjm,cka->cjakm", vols * adotb, G, G)
-        # volume-measure second variation of int u
-        local += ein("c,cja,ckm->cjakm", vols * ubar, G, G)
-        local -= ein("c,cjm,cka->cjakm", vols * ubar, G, G)
-        # load terms
         fq = self.data.f(self.points)
         gq = self.data.grad_f(self.points)
         hq = self.data.hess_f(self.points)
-        pq = self._at_quad(p)
-        wp = ein("c,q,cq->cq", vols, self.weights, pq)
-        local -= ein("cq,qj,qk,cqam->cjakm", wp, self.bary, self.bary, hq, optimize=True)
-        local -= ein("cq,cqm,qk,cja->cjakm", wp, gq, self.bary, G, optimize=True)
-        local -= ein("cq,cqa,qj,ckm->cjakm", wp, gq, self.bary, G, optimize=True)
-        local -= ein("cq,cq,cja,ckm->cjakm", wp, fq, G, G, optimize=True)
-        local += ein("cq,cq,cjm,cka->cjakm", wp, fq, G, G, optimize=True)
+        wp = vols[:, None] * self.weights * self._at_quad(p)  # vol w_q p(x_q)
+        grad_load = self.bary.T @ (wp[:, :, None] * gq)
+        hess_load = self._hat_pairs.T @ (wp[:, :, None] * hq.reshape(nc, -1, d * d))
+        scale = vols * (u[mesh.cells].mean(axis=1) + np.einsum("cd,cd->c", a, b))
+        half = 0.5 * (scale - np.sum(wp * fq, axis=1))[:, None, None] * G
+        coupling = vols[:, None, None] * (
+            np.einsum("cjd,cd->cj", G, b)[:, :, None] * a[:, None, :]
+            + np.einsum("cjd,cd->cj", G, a)[:, :, None] * b[:, None, :]
+        )
+        y = coupling - half
+        r = -y - grad_load
+        vgg = vols[:, None, None] * np.einsum("cjd,ckd->cjk", G, G)
+        ab = a[:, :, None] * b[:, None, :]
+        local = _ja_km(G, r) + _ja_km(r, G)
+        local += _jm_ka(G, y) + _jm_ka(y, G)
+        local += _jk_am(vgg, ab + np.swapaxes(ab, 1, 2))
+        local -= hess_load.reshape(nc, d + 1, d + 1, d, d).transpose(0, 1, 3, 2, 4)
         return shape._scatter_vector_matrix(mesh, local)
+
+
+def _ja_km(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cell blocks [c, j, a, k, m] = x[c, j, a] y[c, k, m]."""
+    return x[:, :, :, None, None] * y[:, None, None, :, :]
+
+
+def _jm_ka(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cell blocks [c, j, a, k, m] = x[c, j, m] y[c, k, a]."""
+    return x[:, :, None, None, :] * np.swapaxes(y, 1, 2)[:, None, :, :, None]
+
+
+def _jk_am(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cell blocks [c, j, a, k, m] = x[c, j, k] y[c, a, m]."""
+    return x[:, :, None, :, None] * y[:, None, :, None, :]
+
+
+@per_topology
+def _mixed_pattern(mesh: SimplicialMesh) -> CsrPattern:
+    """CSR pattern of the (n_interior, nv*dim) mixed blocks; boundary rows are dropped."""
+    interior = fem.interior_vertices(mesh)
+    rows = np.full(mesh.num_vertices, -1)
+    rows[interior] = np.arange(len(interior))
+    return CsrPattern(
+        len(interior), mesh.num_vertices * mesh.dim,
+        rows[mesh.cells][:, :, None, None], shape.vector_dofs(mesh)[:, None, :, :],
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -375,28 +401,29 @@ def d_elasticity(
     """Linearization of W -> <E^W Z, .> at W = 0, shape (nv*dim, nv*dim).
 
     Rows are test vector dofs, columns are the deformation direction dofs.
+    With s_j = 2 mu eps(Z) g_j + lam div(Z) g_j and h_jm = g_j . DZ e_m, the
+    cell block [c, j, a, k, m] is vol times
+
+        (s + damping M Z)_ja g_km - lam g_ja h_km    in the pattern (j,a)(k,m),
+        -mu h_jm g_ka - g_jm s_ka                    in the pattern (j,m)(k,a),
+        -mu (g_j . g_k) DZ_am                        in the pattern (j,k)(a,m),
+
+    with M the reference mass matrix.
     """
-    d = mesh.dim
     geo = fem.cell_geometry(mesh)
     G = geo.grads
-    vols = geo.volumes
-    zc = np.asarray(z_field)[mesh.cells]
+    vols = geo.volumes[:, None, None]
     dz = deformation_gradients(mesh, z_field)
-    eps = 0.5 * (dz + np.swapaxes(dz, 1, 2))
     divz = np.trace(dz, axis1=1, axis2=2)
-    gg = np.einsum("cid,ckd->cik", G, G)
     gdz = np.einsum("cid,cdm->cim", G, dz)  # (g_i . DZ e_m)
-    epsg = np.einsum("cae,cie->cia", eps, G)  # eps(Z) g_i
-    ein = np.einsum
-    local = -params.mu * ein("c,cam,ckj->cjakm", vols, dz, gg)
-    local -= params.mu * ein("c,cka,cjm->cjakm", vols, G, gdz)
-    local -= 2.0 * params.mu * ein("c,cjm,cka->cjakm", vols, G, epsg)
-    local -= params.lam * ein("c,ckm,cja->cjakm", vols, gdz, G)
-    local -= params.lam * ein("c,c,cjm,cka->cjakm", vols, divz, G, G)
+    epsg = 0.5 * (gdz + np.einsum("cid,cad->cia", G, dz))  # eps(Z) g_i
     elastic = 2.0 * params.mu * epsg + params.lam * divz[:, None, None] * G
-    local += ein("c,ckm,cja->cjakm", vols, G, elastic)
-    mass_z = ein("c,ij,cia->cja", vols, fem.reference_mass(d), zc)
-    local += params.damping * ein("ckm,cja->cjakm", G, mass_z)
+    mass_z = fem.reference_mass(mesh.dim) @ np.asarray(z_field)[mesh.cells]
+    vg = vols * G
+    local = _ja_km(vols * elastic + params.damping * vols * mass_z, G)
+    local -= _ja_km(vg, params.lam * gdz)
+    local -= _jm_ka(params.mu * vols * gdz, G) + _jm_ka(vg, elastic)
+    local -= _jk_am(params.mu * vols * np.einsum("cid,ckd->cik", G, G), dz)
     return shape._scatter_vector_matrix(mesh, local)
 
 
@@ -514,7 +541,7 @@ class NewtonSystem:
             "W": np.zeros(nd),
             "u": self.forms.d_u(zero_w, u, p),
             "p": self.forms.d_p(zero_w, u, p),
-            "V": E @ (v_flat + pi_flat) + self.forms.d_w(zero_w, u, p).ravel(),
+            "V": E @ (v_flat + pi_flat) + iterate.derivative.ravel(),
             "F": -(N.T @ pi_flat),
             "Pi": E @ v_flat - N @ iterate.force,
         }
@@ -575,7 +602,8 @@ def prepare_iterate(
     return Iterate(
         fem.objective(mesh, u), derivative, res.direction, res.energy,
         derivative.pair(res.direction),
-        NewtonIterate(u.values, p.values, res.direction, res.force, res.multiplier),
+        NewtonIterate(u.values, p.values, derivative.coeffs, res.direction, res.force,
+                      res.multiplier),
     )
 
 

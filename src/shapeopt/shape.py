@@ -18,14 +18,15 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import quadrature
-from .fem import DualVector, NodalField, reference_mass
-from .linalg import Factorization, factorize, from_triplets
+from .fem import DualVector, NodalField, quadrature_points, reference_mass
+from .linalg import CsrPattern, Factorization, factorize, from_triplets
 from .mesh import (
     SimplicialMesh,
     boundary_measures,
     boundary_normals,
     cell_geometry,
     per_mesh,
+    per_topology,
     read_only,
 )
 from .problems import ProblemData
@@ -83,28 +84,27 @@ def shape_derivative(
     the polynomial benchmark loads thanks to the degree-5 quadrature.
     """
     geo = cell_geometry(mesh)
-    uv, pv = u.values, p.values
+    uc, pc = u.values[mesh.cells], p.values[mesh.cells]
     G = geo.grads
     vols = geo.volumes
-    a = np.einsum("ci,cid->cd", uv[mesh.cells], G)  # grad u per cell
-    b = np.einsum("ci,cid->cd", pv[mesh.cells], G)  # grad p per cell
-    ubar = uv[mesh.cells].mean(axis=1)
-    adotb = np.einsum("cd,cd->c", a, b)
-    # geometric terms: u div W and the Hadamard-type gradient coupling
-    contrib = np.einsum("c,cjm->cjm", vols * (ubar + adotb), G)
-    contrib -= np.einsum("c,cm,cj->cjm", vols, a, np.einsum("cjd,cd->cj", G, b))
-    contrib -= np.einsum("c,cj,cm->cjm", vols, np.einsum("cjd,cd->cj", G, a), b)
-    # load terms: -(grad f . W) p - f p div W, integrated with quadrature
+    a = np.einsum("ci,cid->cd", uc, G)  # grad u per cell
+    b = np.einsum("ci,cid->cd", pc, G)  # grad p per cell
+    # load terms -(grad f . W) p - f p div W: the quadrature sums come first
     bary, weights = quadrature.simplex_rule(mesh.dim)
-    points = quadrature.physical_points(bary, mesh.vertices[mesh.cells])
-    fq = data.f(points)
-    gq = data.grad_f(points)
-    pq = np.einsum("ci,qi->cq", pv[mesh.cells], bary)
-    contrib -= np.einsum("c,q,cqm,qj,cq->cjm", vols, weights, gq, bary, pq)
-    contrib -= np.einsum("c,q,cq,cq,cjm->cjm", vols, weights, fq, pq, G)
-    out = np.zeros((mesh.num_vertices, mesh.dim))
-    np.add.at(out, mesh.cells.ravel(), contrib.reshape(-1, mesh.dim))
-    return DualVector(out)
+    points = quadrature_points(mesh)
+    wp = vols[:, None] * weights * (pc @ bary.T)  # vol w_q p(x_q), (nc, nq)
+    fp = np.sum(wp * data.f(points), axis=1)
+    # geometric terms: u div W and the Hadamard-type gradient coupling
+    scale = vols * (uc.mean(axis=1) + np.einsum("cd,cd->c", a, b)) - fp
+    contrib = scale[:, None, None] * G
+    contrib -= vols[:, None, None] * (
+        a[:, None, :] * np.einsum("cjd,cd->cj", G, b)[:, :, None]
+        + np.einsum("cjd,cd->cj", G, a)[:, :, None] * b[:, None, :]
+    )
+    contrib -= bary.T @ (wp[:, :, None] * data.grad_f(points))
+    out = np.bincount(vector_dofs(mesh).ravel(), contrib.ravel(),
+                      minlength=mesh.num_vertices * mesh.dim)
+    return DualVector(out.reshape(mesh.num_vertices, mesh.dim))
 
 
 def assemble_elasticity(mesh: SimplicialMesh, params: ElasticityParams) -> sp.csr_matrix:
@@ -129,16 +129,27 @@ def assemble_elasticity(mesh: SimplicialMesh, params: ElasticityParams) -> sp.cs
     return _scatter_vector_matrix(mesh, local)
 
 
+def vector_dofs(mesh: SimplicialMesh) -> np.ndarray:
+    """Index of component m of local vertex j of every cell, (nc, d+1, d)."""
+    return mesh.cells[:, :, None] * mesh.dim + np.arange(mesh.dim)
+
+
+@per_topology
+def _vector_pattern(mesh: SimplicialMesh) -> CsrPattern:
+    nd = mesh.num_vertices * mesh.dim
+    dofs = vector_dofs(mesh)
+    return CsrPattern(nd, nd, dofs[:, :, :, None, None], dofs[:, None, None, :, :])
+
+
 def _scatter_vector_matrix(mesh: SimplicialMesh, local: np.ndarray) -> sp.csr_matrix:
-    """Assemble (nc, d+1, d, d+1, d) cell blocks into the (nv*d, nv*d) matrix."""
-    d = mesh.dim
-    nd = mesh.num_vertices * d
-    dof = mesh.cells[:, :, None] * d + np.arange(d)[None, None, :]  # (nc, d+1, d)
-    flat = dof.reshape(mesh.num_cells, -1)  # (nc, (d+1)*d)
-    n = flat.shape[1]
-    rows = np.repeat(flat, n, axis=1).ravel()
-    cols = np.tile(flat, (1, n)).ravel()
-    return from_triplets(nd, nd, rows, cols, local.reshape(mesh.num_cells, n, n).ravel())
+    """Assemble (nc, d+1, d, d+1, d) cell blocks into the (nv*d, nv*d) matrix.
+
+    Entry [c, j, a, k, m] couples component a of local vertex j to component
+    m of local vertex k.  The blocks are summed into the CSR pattern that the
+    mesh's connectivity fixes: it is built once per topology and shared by
+    every mesh a run moves to (:func:`shapeopt.mesh.per_topology`).
+    """
+    return _vector_pattern(mesh).fill(local)
 
 
 def facet_mass_matrices(mesh: SimplicialMesh) -> np.ndarray:

@@ -193,7 +193,7 @@ def test_state_and_adjoint_are_solved_once_per_mesh(data2d, monkeypatch):
 def test_used_mesh_pickles_without_its_derived_data(disk0, data2d):
     fem.solve_state(disk0, data2d)
     copy = pickle.loads(pickle.dumps(disk0))
-    assert "_derived" not in vars(copy)
+    assert "_derived" not in vars(copy) and "_topology" not in vars(copy)
     assert np.array_equal(copy.vertices, disk0.vertices)
     assert np.array_equal(fem.cell_geometry(copy).grads, fem.cell_geometry(disk0).grads)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from shapeopt.mesh import MeshError, generate_disk_mesh
+from shapeopt.mesh import MeshError, SimplicialMesh, generate_cube_mesh, generate_disk_mesh
 from shapeopt.meshio import read_gmsh, read_vtk, write_vtk
 
 
@@ -141,6 +141,39 @@ def test_gmsh_to_vtk_round_trip(tmp_path):
     back, _ = read_vtk(target)
     assert_allclose(back.vertices, mesh.vertices, rtol=0.0, atol=0.0)
     assert np.array_equal(back.cells, mesh.cells)
+
+
+@pytest.fixture(scope="module")
+def small_meshes():
+    return {2: generate_disk_mesh(1.0, 0), 3: generate_cube_mesh(2.0, 2)}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    scale=st.floats(1e-40, 1e40),  # beyond about 1e+-77, 3D facet areas over- or underflow
+    shift=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    value=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_vtk_round_trip_is_bit_exact(
+    small_meshes, tmp_path_factory, dim, scale, shift, seed, value
+):
+    """Write and read back a scaled, shifted and jittered mesh with a vertex
+    field: vertices, field, cells and boundary facets come back bit for bit."""
+    base = small_meshes[dim]
+    jitter = np.random.default_rng(seed).uniform(-0.01, 0.01, base.vertices.shape)
+    mesh = SimplicialMesh(
+        scale * (base.vertices + jitter + shift), base.cells, base.boundary_facets
+    )
+    field = np.full(mesh.num_vertices, value) * jitter[:, 0]
+    path = tmp_path_factory.mktemp("round_trip") / "mesh.vtk"
+    write_vtk(mesh, path, point_data={"field": field})
+    back, data = read_vtk(path)
+    assert np.array_equal(back.vertices.view(np.uint64), mesh.vertices.view(np.uint64))
+    assert np.array_equal(data["field"].view(np.uint64), field.view(np.uint64))
+    assert np.array_equal(back.cells, mesh.cells)
+    assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,13 @@ from numpy.testing import assert_allclose
 from shapeopt import fem, linalg, shape
 from shapeopt.descent import CONVERGED, LINE_SEARCH_FAILURE, LineSearchConfig
 from shapeopt.linalg import BlockSystem, factorize
-from shapeopt.mesh import apply_deformation, generate_cube_mesh, generate_disk_mesh
+from shapeopt.mesh import (
+    SimplicialMesh,
+    apply_deformation,
+    generate_cube_mesh,
+    generate_disk_mesh,
+)
+from shapeopt.meshio import read_vtk, write_vtk
 from shapeopt.newton import (
     LagrangianForms,
     NewtonConfig,
@@ -106,19 +112,25 @@ def test_d_w_matches_finite_differences_off_zero(disk0, data2d, rng):
     assert got == pytest.approx(fd, rel=1e-6)
 
 
-def test_second_derivative_symmetry(hexagon, data2d):
-    u, p = solved(hexagon, data2d)
-    forms = LagrangianForms(hexagon, data2d)
+@pytest.mark.parametrize("name", ["hexagon", "cube2"])
+def test_second_derivative_symmetry(name, request):
+    mesh = request.getfixturevalue(name)
+    data = request.getfixturevalue("data2d" if mesh.dim == 2 else "data3d")
+    u, p = solved(mesh, data)
+    forms = LagrangianForms(mesh, data)
     h = forms.d2_ww(u, p).toarray()
     assert_allclose(h, h.T, atol=1e-12 * max(1.0, np.abs(h).max()))
 
 
-def test_d2_ww_matches_finite_differences(hexagon, data2d, rng):
-    u, p = solved(hexagon, data2d)
-    forms = LagrangianForms(hexagon, data2d)
+@pytest.mark.parametrize("name", ["hexagon", "cube2"])
+def test_d2_ww_matches_finite_differences(name, request, rng):
+    mesh = request.getfixturevalue(name)
+    data = request.getfixturevalue("data2d" if mesh.dim == 2 else "data3d")
+    u, p = solved(mesh, data)
+    forms = LagrangianForms(mesh, data)
     h_matrix = forms.d2_ww(u, p)
-    da = random_deformation(hexagon, rng)
-    db = random_deformation(hexagon, rng)
+    da = random_deformation(mesh, rng)
+    db = random_deformation(mesh, rng)
     h = 1e-5
     fd = (
         float(np.sum(forms.d_w(h * da, u, p) * db))
@@ -126,6 +138,64 @@ def test_d2_ww_matches_finite_differences(hexagon, data2d, rng):
     ) / (2.0 * h)
     got = float(da.ravel() @ (h_matrix @ db.ravel()))
     assert got == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["disk0", "cube2"])
+def test_fixed_pattern_assembly_matches_triplets(name, request, params, monkeypatch):
+    """E, d2_ww and d_elasticity filled into the per-topology CSR pattern
+    equal the coo->csr sum of the same cell tensors."""
+    mesh = request.getfixturevalue(name)
+    data = request.getfixturevalue("data2d" if mesh.dim == 2 else "data3d")
+    u, p = solved(mesh, data)
+    z = random_deformation(mesh, np.random.default_rng(5))
+    tensors = []
+    scatter = shape._scatter_vector_matrix
+    monkeypatch.setattr(shape, "_scatter_vector_matrix",
+                        lambda m, local: tensors.append(local) or scatter(m, local))
+    nd = mesh.num_vertices * mesh.dim
+    dofs = shape.vector_dofs(mesh)
+    for label, build in (
+        ("E", lambda: shape.assemble_elasticity(mesh, params)),
+        ("d2_ww", lambda: LagrangianForms(mesh, data).d2_ww(u, p)),
+        ("d_elasticity", lambda: d_elasticity(mesh, params, z)),
+    ):
+        tensors.clear()
+        matrix = build()
+        (local,) = tensors
+        rows, cols = np.broadcast_arrays(
+            dofs[:, :, :, None, None], dofs[:, None, None, :, :]
+        )
+        oracle = linalg.from_triplets(nd, nd, rows.ravel(), cols.ravel(), local.ravel())
+        assert np.array_equal(matrix.indptr, oracle.indptr), label
+        assert np.array_equal(matrix.indices, oracle.indices), label
+        rel = np.abs(matrix.data - oracle.data).max() / np.abs(oracle.data).max()
+        assert rel <= 1e-14, f"{name} {label}: rel={rel:.3e}"
+
+
+def test_patterns_are_built_once_per_topology(data2d, params, monkeypatch, tmp_path):
+    """A Newton run shares its sparsity patterns with every mesh it moves to;
+    a mesh with the same cells made from raw data or a file builds its own."""
+    mesh = generate_disk_mesh(1.0, 0)
+    built = []
+    init = linalg.CsrPattern.__init__
+
+    def counted(self, nrows, ncols, rows, cols):
+        built.append((nrows, ncols))
+        init(self, nrows, ncols, rows, cols)
+
+    monkeypatch.setattr(linalg.CsrPattern, "__init__", counted)
+    final, record = restricted_newton(mesh, data2d, params, NewtonConfig(max_iterations=3))
+    assert [r.iteration for r in record.iterates] == [0, 1, 2, 3]
+    nv, nd = mesh.num_vertices, mesh.num_vertices * mesh.dim
+    ni = len(fem.interior_vertices(mesh))
+    assert sorted(built) == sorted([(nv, nv), (nd, nd), (ni, nd)])
+    write_vtk(final, tmp_path / "final.vtk")
+    for other in (SimplicialMesh.from_cells(final.vertices, final.cells),
+                  read_vtk(tmp_path / "final.vtk")[0]):
+        built.clear()
+        elasticity = shape.assemble_elasticity(other, params)
+        assert built == [(nd, nd)]
+        assert (elasticity != shape.assemble_elasticity(final, params)).nnz == 0
 
 
 def test_pulled_back_operators_reduce_to_assembled(disk0, params, rng):
